@@ -21,6 +21,13 @@ Schedules carry relative timing only (Wait entries); a pulse occupies
 the support [t, t + 8 sigma] starting at the clock position where it
 appears, centered at t + 4 sigma.
 
+schedule_operator folds a whole schedule into one (d+2) x (d+2)
+operator over (g, e, levels), and simulate_schedule and
+process_fidelity apply it to one state or to the stacked probe set.
+All manifold pulses of a schedule share one shape, so in the full
+model verifying a gate costs one matrix solve per distinct pulse shape
+(cached across schedules), not one per pulse per probe.
+
 The default gate pulse FWHM is 0.25 ln2 t_kepler / d, half the
 bandwidth-limit demonstration value: transfer to slots adjacent to the
 addressed one falls quadratically with pulse length, and the shorter
@@ -36,12 +43,13 @@ import numpy as np
 
 from .basis import energy_to_packet_matrix
 from .constants import AU_TIME_NS, LN2
-from .manifold import ManifoldSpec, time_scales
+from .manifold import ManifoldSpec, detunings, time_scales
 from .pulse import (
+    TRUNCATION_SIGMAS,
     PulseSpec,
     SimulationState,
-    integrate_pulse,
     pi_pulse_peak_rabi,
+    pulse_propagator,
     state_from_packet,
 )
 from .evolution import shift_matrix
@@ -70,7 +78,7 @@ class TwoLevelOp:
         object.__setattr__(self, "u2", u)
         if u.shape != (2, 2):
             raise ValueError("u2 must be 2x2")
-        if np.max(np.abs(u @ u.conj().T - np.eye(2))) > UNITARITY_TOL:
+        if not np.max(np.abs(u @ u.conj().T - np.eye(2))) <= UNITARITY_TOL:
             raise ValueError("u2 not unitary")
 
     def embed(self, spec: ManifoldSpec) -> np.ndarray:
@@ -103,7 +111,7 @@ def decompose_unitary(U: np.ndarray, spec: ManifoldSpec) -> list[TwoLevelOp]:
     U = np.asarray(U, dtype=complex)
     if U.shape != (d, d):
         raise ValueError(f"expected a {d}x{d} matrix")
-    if np.max(np.abs(U @ U.conj().T - np.eye(d))) > UNITARITY_TOL:
+    if not np.max(np.abs(U @ U.conj().T - np.eye(d))) <= UNITARITY_TOL:
         raise ValueError("matrix is not unitary within 1e-9")
 
     ks = spec.k_values
@@ -195,8 +203,8 @@ class Wait:
     duration: float
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("wait duration must be >= 0")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError(f"wait duration must be finite and >= 0, got {self.duration!r}")
 
 
 @dataclass(frozen=True)
@@ -210,6 +218,10 @@ class ManifoldPiPulse:
     slot: int
     target: str          # 'g' or 'e'
     phase: float = 0.0
+
+    def __post_init__(self):
+        if self.target not in ("g", "e"):
+            raise ValueError(f"pulse target must be 'g' or 'e', got {self.target!r}")
 
 
 @dataclass(frozen=True)
@@ -322,29 +334,54 @@ def schedule_to_json(schedule: GateSchedule) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _json_number(obj: dict, key: str):
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValueError(f"{key} must be a finite number, got {v!r}")
+    return v
+
+
+def _json_int(obj: dict, key: str) -> int:
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return v
+
+
 def schedule_from_json(text: str) -> GateSchedule:
+    """Parse schedule JSON.  Malformed fields raise ValueError, KeyError
+    or TypeError: nbar and d must make a valid ManifoldSpec, the pulse
+    FWHM and peak Rabi frequency must be positive, every number finite,
+    every slot on the manifold and every target 'g' or 'e'."""
     doc = json.loads(text)
+    spec = ManifoldSpec(nbar=_json_int(doc, "nbar"), d=_json_int(doc, "d"))
+    fwhm, rabi = _json_number(doc, "pulse_fwhm_au"), _json_number(doc, "peak_rabi_au")
+    if not (fwhm > 0 and rabi > 0):
+        raise ValueError("pulse_fwhm_au and peak_rabi_au must be positive")
     prims: list = []
     for p in doc["primitives"]:
         kind = p["type"]
         if kind == "wait":
-            prims.append(Wait(duration=p["duration_au"]))
+            prims.append(Wait(duration=_json_number(p, "duration_au")))
         elif kind == "manifold_pi_pulse":
-            prims.append(ManifoldPiPulse(slot=p["slot"], target=p["target"], phase=p["phase"]))
+            spec.slot_index(_json_int(p, "slot"))
+            prims.append(ManifoldPiPulse(slot=p["slot"], target=p["target"],
+                                         phase=_json_number(p, "phase")))
         elif kind == "storage_pulse":
-            prims.append(StoragePulse(
-                theta=p["theta"], phi=p["phi"], detuning_area=p["detuning_area"],
-                phase_g=p["phase_g"], phase_e=p["phase_e"],
-            ))
+            prims.append(StoragePulse(**{
+                key: _json_number(p, key)
+                for key in ("theta", "phi", "detuning_area", "phase_g", "phase_e")
+            }))
         else:
             raise ValueError(f"unknown primitive type {kind!r}")
     return GateSchedule(
-        nbar=doc["nbar"],
-        d=doc["d"],
-        pulse_fwhm=doc["pulse_fwhm_au"],
-        peak_rabi=doc["peak_rabi_au"],
+        nbar=spec.nbar,
+        d=spec.d,
+        pulse_fwhm=fwhm,
+        peak_rabi=rabi,
         primitives=prims,
-        recorded_global_phase=doc.get("recorded_global_phase", 0.0),
+        recorded_global_phase=(_json_number(doc, "recorded_global_phase")
+                               if "recorded_global_phase" in doc else 0.0),
     )
 
 
@@ -452,7 +489,7 @@ def compile_unitary(
     U = np.asarray(U, dtype=complex)
     if U.shape != (d, d):
         raise ValueError(f"expected a {d}x{d} matrix")
-    if np.max(np.abs(U @ U.conj().T - np.eye(d))) > UNITARITY_TOL:
+    if not np.max(np.abs(U @ U.conj().T - np.eye(d))) <= UNITARITY_TOL:
         raise ValueError("matrix is not unitary within 1e-9")
 
     ts = time_scales(spec)
@@ -483,6 +520,63 @@ def compile_unitary(
 # simulation and process fidelity
 
 
+def schedule_operator(
+    schedule: GateSchedule,
+    mode: str = "exact",
+    pulses: str = "full",
+) -> tuple[np.ndarray, float]:
+    """The whole schedule as one operator, plus its final clock.
+
+    M is (d+2) x (d+2) over the slow amplitudes (b_g, b_e, b_energy)
+    with the clock starting at 0; t_end is the clock after the last
+    primitive.  A Wait only advances the clock, a StoragePulse acts on
+    rows (g, e), and a ManifoldPiPulse acts on (its storage, levels):
+    pulses='full' as the conjugated cached propagator of the pulse
+    shape (pulse.pulse_propagator), pulses='ideal' as the instantaneous
+    perfect swap of storage and core slot at the pulse centre.
+    """
+    if pulses not in ("full", "ideal"):
+        raise ValueError(f"pulses must be 'full' or 'ideal', got {pulses!r}")
+    spec = schedule.spec
+    d = spec.d
+    w = detunings(spec, mode)
+    shape = PulseSpec(fwhm=schedule.pulse_fwhm, peak_rabi=schedule.peak_rabi)
+    deltas = w + shape.carrier_detuning
+    half = TRUNCATION_SIGMAS * shape.sigma
+    core_row = energy_to_packet_matrix(d)[spec.slot_index(0)]
+    rows = {"g": np.r_[0, 2:d + 2], "e": np.r_[1, 2:d + 2]}   # (storage, levels) of M
+    U0 = None
+    M = np.eye(d + 2, dtype=complex)
+    t = 0.0
+    for prim in schedule.primitives:
+        if isinstance(prim, Wait):
+            t += prim.duration
+        elif isinstance(prim, StoragePulse):
+            M[:2] = prim.matrix() @ M[:2]
+        elif isinstance(prim, ManifoldPiPulse):
+            center = t + half
+            ph = np.exp(1j * prim.phase)
+            if pulses == "ideal":
+                # b' = b + r^H (i ph* s - r b), s' = i ph r b, with r b the
+                # core-slot amplitude at the pulse centre
+                r = core_row * np.exp(-1j * w * center)
+                P = np.empty((d + 1, d + 1), dtype=complex)
+                P[0, 0] = 0.0
+                P[0, 1:] = 1j * ph * r
+                P[1:, 0] = 1j * np.conj(ph) * r.conj()
+                P[1:, 1:] = np.eye(d) - np.outer(r.conj(), r)
+            else:
+                if U0 is None:
+                    U0 = pulse_propagator(spec, shape, mode)
+                q = np.concatenate(([1.0], ph * np.exp(-1j * deltas * center)))
+                P = q.conj()[:, None] * U0 * q[None, :]
+            M[rows[prim.target]] = P @ M[rows[prim.target]]
+            t = center + half
+        else:
+            raise TypeError(f"unknown primitive {prim!r}")
+    return M, t
+
+
 def simulate_schedule(
     schedule: GateSchedule,
     bt0: np.ndarray,
@@ -491,62 +585,25 @@ def simulate_schedule(
 ) -> tuple[np.ndarray, dict]:
     """Run a schedule on initial packet amplitudes bt0 (clock starts at 0).
 
-    pulses='full' integrates every manifold pulse in the d+1 level model;
+    pulses='full' drives every manifold pulse in the d+1 level model;
     pulses='ideal' replaces them with instantaneous perfect swaps at the
     pulse center (the compiler's design model: with mode='taylor1' a
     compiled schedule reproduces its target exactly).  Returns lab-frame
     packet amplitudes at the final clock plus a diagnostics dict.
     """
     spec = schedule.spec
-    F = energy_to_packet_matrix(spec.d)
-    state = state_from_packet(spec, bt0)
-    sigma = PulseSpec(fwhm=schedule.pulse_fwhm, peak_rabi=1.0).sigma
-    core = spec.slot_index(0)
-
-    from .manifold import detunings
-
-    w = detunings(spec, mode)
-    for prim in schedule.primitives:
-        if isinstance(prim, Wait):
-            state.advance(prim.duration)
-        elif isinstance(prim, StoragePulse):
-            g, e = prim.matrix() @ np.array([state.b_g, state.b_e])
-            state.b_g, state.b_e = complex(g), complex(e)
-        elif isinstance(prim, ManifoldPiPulse):
-            center = state.t + 4.0 * sigma
-            if pulses == "ideal":
-                bt = F @ (state.b_energy * np.exp(-1j * w * center))
-                stored = state.b_g if prim.target == "g" else state.b_e
-                ph = np.exp(1j * prim.phase)
-                new_stored = 1j * ph * bt[core]
-                bt[core] = 1j * np.conj(ph) * stored
-                state.b_energy = np.exp(1j * w * center) * (F.conj().T @ bt)
-                if prim.target == "g":
-                    state.b_g = complex(new_stored)
-                else:
-                    state.b_e = complex(new_stored)
-                state.t = center + 4.0 * sigma
-            else:
-                ps = PulseSpec(
-                    fwhm=schedule.pulse_fwhm,
-                    peak_rabi=schedule.peak_rabi,
-                    phase=prim.phase,
-                    center_time=center,
-                    target=prim.target,
-                )
-                state = integrate_pulse(state, ps, mode=mode)
-        else:
-            raise TypeError(f"unknown primitive {prim!r}")
-
-    bt_final = state.packet_amplitudes(mode=mode)
+    M, t_end = schedule_operator(schedule, mode, pulses)
+    start = state_from_packet(spec, bt0)
+    v = M @ np.concatenate(([start.b_g, start.b_e], start.b_energy))
+    state = SimulationState(spec, v[2:], complex(v[0]), complex(v[1]), t_end)
     info = {
-        "t_end": state.t,
+        "t_end": t_end,
         "storage_leak": abs(state.b_g) ** 2 + abs(state.b_e) ** 2,
         "b_g": state.b_g,
         "b_e": state.b_e,
         "norm": state.norm(),
     }
-    return bt_final, info
+    return state.packet_amplitudes(mode=mode), info
 
 
 def probe_states(spec: ManifoldSpec) -> list[np.ndarray]:
@@ -582,10 +639,13 @@ def process_fidelity(
     """
     spec = schedule.spec
     U = np.asarray(U_target, dtype=complex)
-    fids = []
-    for p in probe_states(spec):
-        out, _ = simulate_schedule(schedule, p, mode=mode, pulses=pulses)
-        fids.append(abs(np.vdot(U @ p, out)) ** 2)
+    M, t_end = schedule_operator(schedule, mode, pulses)
+    F = energy_to_packet_matrix(spec.d)
+    probes = np.stack(probe_states(spec), axis=1)
+    # probes start with empty storage, so only the level block of M acts
+    b = M[2:, 2:] @ (F.conj().T @ probes)
+    out = F @ (np.exp(-1j * detunings(spec, mode) * t_end)[:, None] * b)
+    fids = np.abs(np.sum((U @ probes).conj() * out, axis=0)) ** 2
     return float(np.mean(fids))
 
 

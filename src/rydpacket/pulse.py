@@ -27,9 +27,21 @@ which is what makes slot addressing clean.
 Times are absolute: the same clock orders pulses and free flight, so
 which slot sits at the core when the pulse arrives is decided by t_c
 alone.  All quantities in atomic units.
+
+The equations are covariant under a shift of t_c and phi: with
+c_s = b_s and c_j = e^{i phi} e^{-i Delta_j t_c} b_j, the c amplitudes
+obey the same equations for the pulse centred at t = 0 with phi = 0.
+So a pulse acts on (b_s, b_j) as Q^-1 U0 Q, with
+Q = diag(1, e^{i phi} e^{-i Delta_j t_c}) and U0 the propagator of the
+pulse shape alone.  pulse_propagator builds U0 with one matrix solve
+and caches it, so every pulse of one shape, at any centre and phase,
+costs a (d+1) x (d+1) product; integrate_pulse integrates one state
+through one pulse on the absolute clock and stays the reference route.
 """
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,6 +53,7 @@ from .manifold import ManifoldSpec, detunings, time_scales
 
 TRUNCATION_SIGMAS = 4.0        # envelope support half-width, in sigma
 NORM_TOLERANCE = 1e-8          # allowed norm drift per integration
+PROPAGATOR_CACHE_SIZE = 256    # pulse shapes whose U0 is kept per process
 
 
 @dataclass(frozen=True)
@@ -294,7 +307,6 @@ def integrate_pulse(
     w = detunings(spec, mode)
     deltas = w + pulse.carrier_detuning
     omega = rabi_profile(spec, pulse.peak_rabi).omega_j
-    max_step = min(pulse.fwhm / 50.0, TWO_PI / (10.0 * float(np.max(np.abs(deltas)))))
     ph = np.exp(1j * pulse.phase)
 
     store_g = pulse.target == "g"
@@ -309,18 +321,7 @@ def integrate_pulse(
 
     y0 = np.concatenate(([state.b_g if store_g else state.b_e], state.b_energy))
     norm_in = state.norm()
-    sol = solve_ivp(
-        rhs,
-        (pulse.t_start, pulse.t_end),
-        y0,
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-12,
-        max_step=max_step,
-        dense_output=n_trace > 0,
-    )
-    if not sol.success:
-        raise RuntimeError(f"pulse integration failed: {sol.message}")
+    sol = _solve_pulse(rhs, pulse, deltas, y0, dense_output=n_trace > 0)
 
     out = state.copy()
     yf = sol.y[:, -1]
@@ -356,3 +357,73 @@ def integrate_pulse(
         norm_error=norm_err,
     )
     return out, trace
+
+
+def _solve_pulse(rhs, pulse: PulseSpec, deltas: np.ndarray, y0: np.ndarray,
+                 dense_output: bool = False):
+    """RK45 over the pulse support, max step bounded by the envelope and
+    the fastest detuning phase."""
+    max_step = min(pulse.fwhm / 50.0, TWO_PI / (10.0 * float(np.max(np.abs(deltas)))))
+    sol = solve_ivp(
+        rhs,
+        (pulse.t_start, pulse.t_end),
+        y0,
+        method="RK45",
+        rtol=1e-10,
+        atol=1e-12,
+        max_step=max_step,
+        dense_output=dense_output,
+    )
+    if not sol.success:
+        raise RuntimeError(f"pulse integration failed: {sol.message}")
+    return sol
+
+
+_PROPAGATORS: OrderedDict = OrderedDict()     # shape key -> U0, least recently used first
+_PROPAGATORS_LOCK = threading.Lock()
+
+
+def pulse_propagator(spec: ManifoldSpec, pulse: PulseSpec, mode: str = "exact") -> np.ndarray:
+    """U0, the (d+1) x (d+1) propagator over (storage, levels) of the
+    pulse shape centred at t = 0 with phi = 0.
+
+    Only the shape matters (fwhm, peak Rabi frequency, carrier
+    detuning): center_time, phase and target are ignored, since the
+    same U0 serves either storage level at any centre and phase (see
+    the module docstring for the conjugation).  U0 comes from one RK45
+    solve of the flattened matrix equation with integrate_pulse's
+    settings, is rejected unless max|U0^dagger U0 - 1| <= 1e-8, and is
+    kept in a bounded process-wide cache.  The returned array is
+    read-only.
+    """
+    key = (spec.nbar, spec.d, mode, pulse.fwhm, pulse.peak_rabi, pulse.carrier_detuning)
+    with _PROPAGATORS_LOCK:
+        U0 = _PROPAGATORS.get(key)
+        if U0 is not None:
+            _PROPAGATORS.move_to_end(key)
+            return U0
+
+    shape = replace(pulse, center_time=0.0, phase=0.0)
+    deltas = detunings(spec, mode) + shape.carrier_detuning
+    omega = rabi_profile(spec, shape.peak_rabi).omega_j
+    n = spec.d + 1
+
+    def rhs(t, y):
+        Y = y.reshape(n, n)
+        f = np.exp(-4.0 * LN2 * t**2 / shape.fwhm**2)
+        dY = np.empty_like(Y)
+        dY[0] = (0.5j * f * omega * np.exp(-1j * deltas * t)) @ Y[1:]
+        dY[1:] = (0.5j * f * omega * np.exp(1j * deltas * t))[:, None] * Y[0]
+        return dY.ravel()
+
+    sol = _solve_pulse(rhs, shape, deltas, np.eye(n, dtype=complex).ravel())
+    U0 = sol.y[:, -1].reshape(n, n).copy()     # not a view that keeps every step alive
+    err = float(np.max(np.abs(U0.conj().T @ U0 - np.eye(n))))
+    if not err <= NORM_TOLERANCE:
+        raise RuntimeError(f"pulse propagator is off unitary by {err:.3e}")
+    U0.flags.writeable = False
+    with _PROPAGATORS_LOCK:
+        _PROPAGATORS[key] = U0
+        if len(_PROPAGATORS) > PROPAGATOR_CACHE_SIZE:
+            _PROPAGATORS.popitem(last=False)
+    return U0

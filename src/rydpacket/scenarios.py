@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from .basis import (
     AmplitudeVector,
@@ -134,7 +133,7 @@ def unitary_from_obj(obj) -> np.ndarray:
     """Build a complex square matrix from parsed JSON.
 
     Accepts either a bare list of rows or {"matrix": rows}; each entry
-    is a real number or a [re, im] pair.
+    is a finite real number or a [re, im] pair of them.
     """
     if isinstance(obj, Mapping):
         _check_keys(obj, {"matrix"}, "unitary")
@@ -142,14 +141,15 @@ def unitary_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ConfigError("unitary: expected a non-empty list of rows")
 
+    def real(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
     def entry(x, where):
-        if isinstance(x, (int, float)) and not isinstance(x, bool):
+        if real(x):
             return complex(x)
-        if isinstance(x, list) and len(x) == 2 and all(
-            isinstance(p, (int, float)) and not isinstance(p, bool) for p in x
-        ):
+        if isinstance(x, list) and len(x) == 2 and all(real(p) for p in x):
             return complex(x[0], x[1])
-        raise ConfigError(f"{where}: matrix entries are numbers or [re, im] pairs")
+        raise ConfigError(f"{where}: matrix entries are finite numbers or [re, im] pairs")
 
     d = len(obj)
     rows = []
@@ -349,6 +349,18 @@ def _spec_of(params: dict) -> ManifoldSpec:
         return ManifoldSpec(nbar=int(params["nbar"]), d=int(params["d"]))
     except ValueError as e:
         raise ConfigError(f"manifold: {e}") from None
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random U(dim): QR of a complex Gaussian, R's diagonal phases
+    moved into Q.  Same draws, bit for bit, as scipy's unitary_group.rvs
+    with the same generator."""
+    # scipy's order of operations: dividing by sqrt(2) instead would move the last bits
+    z = 1 / math.sqrt(2) * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    q, r = np.linalg.qr(z)
+    diag = r.diagonal()
+    q *= (diag / abs(diag))[np.newaxis, :]
+    return q
 
 
 def _random_packet_states(rng, n: int, d: int) -> np.ndarray:
@@ -811,7 +823,7 @@ def _run_compile_random(params: dict) -> ScenarioResult:
         spec_h = ManifoldSpec(nbar=nbar, d=int(dim))
         bound = dim * (dim - 1) // 2 + dim
         for _ in range(int(params["haar_count"])):
-            U = unitary_group.rvs(dim, random_state=rng)
+            U = haar_unitary(dim, rng)
             ops = decompose_unitary(U, spec_h)
             V = compose_ops(ops, spec_h)
             worst_err = max(worst_err, float(np.max(np.abs(V - U))))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rydpacket import (
     GateSchedule,
     ManifoldPiPulse,
     ManifoldSpec,
+    PulseSpec,
     StoragePulse,
     TwoLevelOp,
     Wait,
@@ -19,6 +21,9 @@ from rydpacket import (
     compile_unitary,
     compose_ops,
     decompose_unitary,
+    detunings,
+    energy_to_packet_matrix,
+    integrate_pulse,
     merge_same_pair,
     probe_states,
     process_fidelity,
@@ -27,6 +32,7 @@ from rydpacket import (
     schedule_to_json,
     shift_matrix,
     simulate_schedule,
+    state_from_packet,
     time_scales,
     zyz_angles,
 )
@@ -142,6 +148,59 @@ def test_wait_rejects_negative():
         Wait(duration=-1.0)
 
 
+@pytest.mark.parametrize("duration", [math.nan, math.inf])
+def test_wait_rejects_non_finite(duration):
+    with pytest.raises(ValueError):
+        Wait(duration=duration)
+
+
+def test_two_level_op_rejects_nan():
+    with pytest.raises(ValueError):
+        TwoLevelOp(k=0, k2=1, u2=np.full((2, 2), np.nan))
+
+
+def test_nan_unitary_is_rejected():
+    # NaN fails every comparison, so a NaN matrix once passed the
+    # unitarity check and compiled to an empty schedule (the identity)
+    spec = _spec(4)
+    U = np.full((4, 4), np.nan, dtype=complex)
+    with pytest.raises(ValueError):
+        decompose_unitary(U, spec)
+    with pytest.raises(ValueError):
+        compile_unitary(U, spec)
+
+
+def _schedule_doc():
+    spec = _spec(4)
+    return json.loads(schedule_to_json(compile_unitary(random_two_level_unitary(spec, 3), spec)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nbar", 2), ("d", 1), ("nbar", 180.5), ("pulse_fwhm_au", -1.0),
+    ("peak_rabi_au", math.inf), ("recorded_global_phase", math.nan),
+])
+def test_schedule_from_json_rejects_bad_header(field, value):
+    doc = _schedule_doc()
+    doc[field] = value
+    with pytest.raises(ValueError):
+        schedule_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("prim", [
+    {"type": "wait", "duration_au": math.nan},
+    {"type": "manifold_pi_pulse", "slot": 0, "target": "x", "phase": 0.0},
+    {"type": "manifold_pi_pulse", "slot": 7, "target": "g", "phase": 0.0},
+    {"type": "manifold_pi_pulse", "slot": 0, "target": "g", "phase": math.inf},
+    {"type": "storage_pulse", "theta": math.nan, "phi": 0.0, "detuning_area": 0.0,
+     "phase_g": 0.0, "phase_e": 0.0},
+])
+def test_schedule_from_json_rejects_bad_primitive(prim):
+    doc = _schedule_doc()
+    doc["primitives"] = [prim]
+    with pytest.raises(ValueError):
+        schedule_from_json(json.dumps(doc))
+
+
 def test_schedule_json_roundtrip():
     spec = _spec(4)
     sched = compile_unitary(_haar(4, 3), spec)
@@ -230,6 +289,61 @@ def test_wait_schedule_frozen_fidelities():
     fid_rev = process_fidelity(sched_rev, np.eye(4))
     assert fid_rev == pytest.approx(WAIT_REVIVAL_FID_D4, rel=1e-12)
     assert fid_rev >= 0.96
+
+
+def _reference_run(sched, bt0, mode, pulses):
+    """The per-primitive loop: integrate_pulse for each full pulse, the
+    lab-frame swap at the pulse centre for each ideal one."""
+    spec = sched.spec
+    F = energy_to_packet_matrix(spec.d)
+    w = detunings(spec, mode)
+    core = spec.slot_index(0)
+    state = state_from_packet(spec, bt0)
+    sigma = PulseSpec(fwhm=sched.pulse_fwhm, peak_rabi=1.0).sigma
+    for prim in sched.primitives:
+        if isinstance(prim, Wait):
+            state.advance(prim.duration)
+        elif isinstance(prim, StoragePulse):
+            state.b_g, state.b_e = prim.matrix() @ np.array([state.b_g, state.b_e])
+        elif pulses == "full":
+            state = integrate_pulse(state, PulseSpec(
+                fwhm=sched.pulse_fwhm, peak_rabi=sched.peak_rabi, phase=prim.phase,
+                center_time=state.t + 4.0 * sigma, target=prim.target), mode=mode)
+        else:
+            center = state.t + 4.0 * sigma
+            bt = F @ (state.b_energy * np.exp(-1j * w * center))
+            ph = np.exp(1j * prim.phase)
+            stored = state.b_g if prim.target == "g" else state.b_e
+            new_stored = 1j * ph * bt[core]
+            bt[core] = 1j * np.conj(ph) * stored
+            state.b_energy = np.exp(1j * w * center) * (F.conj().T @ bt)
+            if prim.target == "g":
+                state.b_g = new_stored
+            else:
+                state.b_e = new_stored
+            state.t = center + 4.0 * sigma
+    return state
+
+
+@pytest.mark.parametrize("pulses", ["full", "ideal"])
+def test_schedule_operator_matches_per_primitive_loop(pulses):
+    # a d = 4 Haar schedule with a distinct optical phase on every pulse
+    spec = _spec(4)
+    sched = compile_unitary(_haar(4, 23), spec)
+    sched.primitives = [replace(p, phase=0.7 * i) if isinstance(p, ManifoldPiPulse) else p
+                        for i, p in enumerate(sched.primitives)]
+    rng = np.random.default_rng(5)
+    bt0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    bt0 /= np.linalg.norm(bt0)
+
+    ref = _reference_run(sched, bt0, "exact", pulses)
+    out, info = simulate_schedule(sched, bt0, mode="exact", pulses=pulses)
+    assert sched.manifold_pulse_count() >= 20
+    np.testing.assert_allclose(out, ref.packet_amplitudes(), rtol=0, atol=1e-10)
+    assert info["b_g"] == pytest.approx(ref.b_g, abs=1e-10)
+    assert info["b_e"] == pytest.approx(ref.b_e, abs=1e-10)
+    assert info["t_end"] == ref.t
+    assert info["norm"] == pytest.approx(ref.norm(), abs=1e-10)
 
 
 def test_padding_cost_grows_with_orbits():

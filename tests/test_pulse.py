@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydpacket import (
     ManifoldSpec,
     PulseSpec,
     SimulationState,
     core_rabi_dft,
+    detunings,
     integrate_pulse,
     pi_pulse_peak_rabi,
     rabi_profile,
@@ -19,6 +22,7 @@ from rydpacket import (
     validate_pulse,
 )
 from rydpacket.constants import LN2
+from rydpacket.pulse import pulse_propagator
 
 # frozen reference values, nbar = 180, d = 8
 CORE_DFT_UNIT = 2.817534145809115         # Omega~_0 for Omega_peak = 1
@@ -200,3 +204,57 @@ def test_integrate_pulse_trace():
     assert np.max(trace.norm_error) < 1e-8
     total = trace.pop_g + trace.pop_e + trace.packet_populations.sum(axis=1)
     np.testing.assert_allclose(total, 1.0, atol=1e-8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    mode=st.sampled_from(["exact", "taylor1", "taylor2"]),
+    target=st.sampled_from(["g", "e"]),
+    center_kepler=st.floats(0.0, 20.0),
+    phase=st.floats(-10.0, 10.0),
+    detuning_steps=st.floats(-2.0, 2.0),
+    area_factor=st.floats(0.3, 1.2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conjugated_propagator_matches_integrate_pulse(
+        d, mode, target, center_kepler, phase, detuning_steps, area_factor, seed):
+    # the RWA equations are covariant under a shift of t_c and phi:
+    # a pulse at (t_c, phi) acts as Q^-1 U0 Q, Q = diag(1, e^{i phi} e^{-i Delta_j t_c})
+    spec = ManifoldSpec(nbar=180, d=d)
+    ts = time_scales(spec)
+    fwhm = 0.25 * LN2 * ts.t_kepler / d
+    pulse = PulseSpec(fwhm=fwhm, peak_rabi=area_factor * pi_pulse_peak_rabi(spec, fwhm),
+                      carrier_detuning=detuning_steps * 2.0 * math.pi / ts.t_kepler,
+                      phase=phase, center_time=center_kepler * ts.t_kepler, target=target)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=d + 2) + 1j * rng.normal(size=d + 2)
+    v /= np.linalg.norm(v)
+    state = SimulationState(spec=spec, b_energy=v[2:], b_g=v[0], b_e=v[1], t=pulse.t_start)
+    ref = integrate_pulse(state, pulse, mode=mode)
+
+    deltas = detunings(spec, mode) + pulse.carrier_detuning
+    q = np.concatenate(([1.0], np.exp(1j * phase) * np.exp(-1j * deltas * pulse.center_time)))
+    P = q.conj()[:, None] * pulse_propagator(spec, pulse, mode) * q[None, :]
+    stored, other = (v[0], v[1]) if target == "g" else (v[1], v[0])
+    out = P @ np.concatenate(([stored], v[2:]))
+    got_g, got_e = (out[0], other) if target == "g" else (other, out[0])
+    assert abs(got_g - ref.b_g) <= 1e-10
+    assert abs(got_e - ref.b_e) <= 1e-10
+    assert np.max(np.abs(out[1:] - ref.b_energy)) <= 1e-10
+
+
+def test_pulse_propagator_is_cached_unitary_and_shape_only():
+    spec = _spec()
+    ts = time_scales(spec)
+    fwhm = 0.25 * LN2 * ts.t_kepler / spec.d
+    pulse = PulseSpec(fwhm=fwhm, peak_rabi=pi_pulse_peak_rabi(spec, fwhm))
+    U0 = pulse_propagator(spec, pulse)
+    assert U0.shape == (spec.d + 1, spec.d + 1)
+    assert np.max(np.abs(U0.conj().T @ U0 - np.eye(spec.d + 1))) <= 1e-8
+    assert not U0.flags.writeable
+    # centre, phase and target are not part of the shape
+    moved = PulseSpec(fwhm=fwhm, peak_rabi=pulse.peak_rabi, center_time=3.0 * ts.t_kepler,
+                      phase=1.1, target="e")
+    assert pulse_propagator(spec, moved) is U0
+    assert pulse_propagator(spec, pulse, mode="taylor1") is not U0

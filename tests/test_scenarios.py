@@ -1,9 +1,11 @@
 """Scenario registry, config parsing, declarative runs, and the CLI."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from rydpacket import (
     ConfigError,
@@ -19,6 +21,7 @@ from rydpacket import (
 )
 from rydpacket.cli import main
 from rydpacket.constants import LN2, TIME_UNITS
+from rydpacket.scenarios import haar_unitary
 
 CANONICAL = [
     "time_scales",
@@ -126,9 +129,19 @@ def test_unitary_from_obj():
     np.testing.assert_array_equal(U, np.array([[0, 1], [1, 0]], dtype=complex))
     U2 = unitary_from_obj({"matrix": [[[0, 1], 0], [0, [0, -1]]]})
     np.testing.assert_array_equal(U2, np.diag([1j, -1j]))
-    for bad in [[], [[1, 0]], [[1, "x"], [0, 1]], {"rows": [[1]]}]:
+    for bad in [[], [[1, 0]], [[1, "x"], [0, 1]], {"rows": [[1]]},
+                [[math.nan, 0], [0, 1]], [[1, 0], [0, [0, math.inf]]]]:
         with pytest.raises(ConfigError):
             unitary_from_obj(bad)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_haar_unitary_matches_scipy(seed, d):
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    np.testing.assert_array_equal(haar_unitary(d, rng_a),
+                                  unitary_group.rvs(d, random_state=rng_b))
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -385,3 +398,34 @@ def test_cli_verify_dimension_mismatch(tmp_path, capsys):
     _dump_unitary(u2file, np.eye(2))
     capsys.readouterr()
     assert main(["verify", str(sfile), str(u2file)]) == 2
+
+
+def _compiled_schedule(tmp_path):
+    """(schedule file, unitary file, schedule doc) of a compiled d = 4 gate."""
+    ufile = tmp_path / "u4.json"
+    _dump_unitary(ufile, random_two_level_unitary(ManifoldSpec(nbar=180, d=4), 3))
+    sfile = tmp_path / "sched.json"
+    assert main(["compile", str(ufile), "-o", str(sfile)]) == 0
+    return sfile, ufile, json.loads(sfile.read_text())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nbar", 2), ("d", 1), ("pulse_fwhm_au", 0.0), ("peak_rabi_au", math.nan),
+])
+def test_cli_verify_rejects_bad_schedule_header(tmp_path, capsys, field, value):
+    sfile, ufile, doc = _compiled_schedule(tmp_path)
+    doc[field] = value
+    sfile.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(sfile), str(ufile)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_nan_wait(tmp_path, capsys):
+    # a NaN duration once reached the simulation and printed fidelity nan
+    sfile, ufile, doc = _compiled_schedule(tmp_path)
+    next(p for p in doc["primitives"] if p["type"] == "wait")["duration_au"] = math.nan
+    sfile.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(sfile), str(ufile)]) == 2
+    assert "config error" in capsys.readouterr().err
