@@ -43,7 +43,7 @@ class AmplitudeVector:
         if v.ndim != 1 or v.size < 2:
             raise ValueError("amplitude vector must be 1-d with at least 2 entries")
         n = float(np.linalg.norm(v))
-        if abs(n - 1.0) > NORM_SLACK:
+        if not abs(n - 1.0) <= NORM_SLACK:
             raise ValueError(f"amplitudes not normalized: |norm - 1| = {abs(n - 1.0):.3e}")
 
     @property
@@ -114,7 +114,7 @@ def iqft_packet_to_energy(b: AmplitudeVector) -> AmplitudeVector:
 def packet_amplitudes_at(
     b_energy: np.ndarray,
     spec: ManifoldSpec,
-    t: float,
+    t: float | np.ndarray,
     mode: str = "exact",
 ) -> np.ndarray:
     """Packet amplitudes of energy amplitudes b_j after free flight t.
@@ -123,9 +123,14 @@ def packet_amplitudes_at(
     so the result is the packet-slot decomposition an observer at time t
     would see.  With mode='taylor1' and t = n t_kepler / d the result is
     the input's packet amplitudes cyclically shifted by n slots.
+
+    Broadcasts like b_energy * exp(-i t omega): b_energy has shape
+    (..., d) and t is a scalar or an array of times, so one state on a
+    time grid (t of shape (n,)), a stack of states at one time, or one
+    state per sample time (b of shape (n, d), t of shape (n,)) all work.
     """
     b = np.asarray(b_energy, dtype=complex)
-    if b.size != spec.d:
-        raise ValueError(f"expected {spec.d} amplitudes, got {b.size}")
-    w = detunings(spec, mode)
-    return energy_to_packet_matrix(spec.d) @ (b * np.exp(-1j * w * t))
+    if b.shape[-1:] != (spec.d,):
+        raise ValueError(f"expected {spec.d} amplitudes on the last axis, got shape {b.shape}")
+    phases = np.exp(-1j * np.multiply.outer(t, detunings(spec, mode)))
+    return (b * phases) @ energy_to_packet_matrix(spec.d).T

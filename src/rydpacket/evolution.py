@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import packet_amplitudes_at
 from .constants import AU_TIME_NS
 from .manifold import ManifoldSpec, detunings, time_scales
 
@@ -50,11 +51,7 @@ def evolution_kernel(spec: ManifoldSpec, t: float, mode: str = "exact") -> Evolu
 
 def apply_kernel(kernel: EvolutionKernel, bt: np.ndarray) -> np.ndarray:
     """Evolve packet amplitudes bt(0) -> bt(t) by circular convolution."""
-    bt = np.asarray(bt, dtype=complex)
-    out = np.zeros_like(bt)
-    for m, u in enumerate(kernel.entries):
-        out += u * np.roll(bt, m)
-    return out
+    return kernel.as_matrix() @ np.asarray(bt, dtype=complex)
 
 
 def propagate_free(b_energy: np.ndarray, spec: ManifoldSpec, dt: float,
@@ -153,16 +150,9 @@ def revival_scan(spec: ManifoldSpec, b_energy: np.ndarray, t_grid: np.ndarray,
     near t_revival, where the quadratic spectrum phases re-align.
     """
     b = np.asarray(b_energy, dtype=complex)
-    w = detunings(spec, mode)
-    from .basis import energy_to_packet_matrix
-
-    F = energy_to_packet_matrix(spec.d)
     t_grid = np.asarray(t_grid, dtype=float)
-    phases = np.exp(-1j * np.outer(t_grid, w))
-    bt = phases * b[None, :] @ F.T
-    pops = np.abs(bt) ** 2
-    p = np.abs(b) ** 2
-    ac = np.abs(phases @ p) ** 2
+    pops = np.abs(packet_amplitudes_at(b, spec, t_grid, mode)) ** 2
+    ac = np.abs(np.exp(-1j * np.outer(t_grid, detunings(spec, mode))) @ np.abs(b) ** 2) ** 2
     return TraceRecord(spec=spec, t_au=t_grid, packet_populations=pops, autocorr=ac)
 
 

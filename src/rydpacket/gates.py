@@ -22,8 +22,11 @@ the support [t, t + 8 sigma] starting at the clock position where it
 appears, centered at t + 4 sigma.
 
 schedule_operator folds a whole schedule into one (d+2) x (d+2)
-operator over (g, e, levels), and simulate_schedule and
-process_fidelity apply it to one state or to the stacked probe set.
+operator over (g, e, levels), and run_program and process_fidelity
+apply it to one state or to the stacked probe set.  run_program is the
+one executor for timed programs: a list of waits, single pulses and
+gate schedules run in order on a state's clock, optionally sampled
+into one trace.  Declarative configs and the scenarios lower onto it.
 All manifold pulses of a schedule share one shape, so in the full
 model verifying a gate costs one matrix solve per distinct pulse shape
 (cached across schedules), not one per pulse per probe.
@@ -41,18 +44,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import energy_to_packet_matrix
+from .basis import energy_to_packet_matrix, packet_amplitudes_at
 from .constants import AU_TIME_NS, LN2
 from .manifold import ManifoldSpec, detunings, time_scales
 from .pulse import (
     TRUNCATION_SIGMAS,
     PulseSpec,
     SimulationState,
+    integrate_pulse,
     pi_pulse_peak_rabi,
     pulse_propagator,
-    state_from_packet,
 )
-from .evolution import shift_matrix
+from .evolution import TraceRecord, shift_matrix
 
 UNITARITY_TOL = 1e-9
 IDENTITY_TOL = 1e-12
@@ -389,6 +392,15 @@ def schedule_from_json(text: str) -> GateSchedule:
 # compilation
 
 
+def next_core_crossing(spec: ManifoldSpec, slot: int, t_min: float) -> float:
+    """Earliest time >= t_min at which the slot with start label `slot`
+    crosses the core: m t_kepler / d with m = -slot mod d (linearized
+    spectrum), the clock starting at 0 with slot 0 at the core."""
+    step = time_scales(spec).t_kepler / spec.d
+    m_min = math.ceil(t_min / step - 1e-9)
+    return (m_min + (-slot - m_min) % spec.d) * step
+
+
 class _Compiler:
     def __init__(self, spec: ManifoldSpec, pulse_fwhm: float):
         self.spec = spec
@@ -397,13 +409,6 @@ class _Compiler:
         self.sigma = PulseSpec(fwhm=pulse_fwhm, peak_rabi=1.0).sigma
         self.t = 0.0                      # clock at end of emitted primitives
         self.prims: list = []
-
-    def _next_center(self, slot: int, t_min: float) -> float:
-        """Earliest core crossing of the slot with pulse center >= t_min."""
-        d = self.spec.d
-        m_min = int(math.ceil(t_min / self.step - 1e-9))
-        m = m_min + ((-slot - m_min) % d)
-        return m * self.step
 
     def _pulse_at(self, center: float, slot: int, target: str) -> None:
         start = center - 4.0 * self.sigma
@@ -415,9 +420,9 @@ class _Compiler:
 
     def add_fragment(self, op: TwoLevelOp) -> None:
         """Emit the store / rotate / restore protocol for one factor."""
-        c1 = self._next_center(op.k, self.t + 4.0 * self.sigma)
+        c1 = next_core_crossing(self.spec, op.k, self.t + 4.0 * self.sigma)
         self._pulse_at(c1, op.k, "g")
-        c2 = self._next_center(op.k2, self.t + 4.0 * self.sigma)
+        c2 = next_core_crossing(self.spec, op.k2, self.t + 4.0 * self.sigma)
         self._pulse_at(c2, op.k2, "e")
 
         # four i factors from the pi pulses make -1: realize -u2 in storage
@@ -431,9 +436,9 @@ class _Compiler:
             self.prims.append(StoragePulse(phase_g=alpha - beta / 2.0,
                                            phase_e=alpha + beta / 2.0))
 
-        c3 = self._next_center(op.k2, self.t + 4.0 * self.sigma)
+        c3 = next_core_crossing(self.spec, op.k2, self.t + 4.0 * self.sigma)
         self._pulse_at(c3, op.k2, "e")
-        c4 = self._next_center(op.k, self.t + 4.0 * self.sigma)
+        c4 = next_core_crossing(self.spec, op.k, self.t + 4.0 * self.sigma)
         self._pulse_at(c4, op.k, "g")
 
     def pad_to_steps(self, multiple: int) -> None:
@@ -461,12 +466,6 @@ def merge_same_pair(ops: list[TwoLevelOp]) -> list[TwoLevelOp]:
 def _swapped(u2: np.ndarray) -> np.ndarray:
     p = np.array([[0, 1], [1, 0]], dtype=complex)
     return p @ u2 @ p
-
-
-def compile_two_level(op: TwoLevelOp, spec: ManifoldSpec,
-                      pulse_fwhm: float | None = None) -> GateSchedule:
-    """Schedule for a single two-level factor."""
-    return compile_unitary(op.embed(spec), spec, pulse_fwhm=pulse_fwhm)
 
 
 def compile_unitary(
@@ -577,33 +576,103 @@ def schedule_operator(
     return M, t
 
 
-def simulate_schedule(
-    schedule: GateSchedule,
-    bt0: np.ndarray,
+class ProgramError(ValueError):
+    """An item of a timed program failed to run; index is its position."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def run_program(
+    state: SimulationState,
+    program,
     mode: str = "exact",
     pulses: str = "full",
-) -> tuple[np.ndarray, dict]:
-    """Run a schedule on initial packet amplitudes bt0 (clock starts at 0).
+    n_trace: int = 0,
+) -> tuple[SimulationState, TraceRecord | None]:
+    """Run a timed program on a copy of state, on the state's clock.
 
-    pulses='full' drives every manifold pulse in the d+1 level model;
-    pulses='ideal' replaces them with instantaneous perfect swaps at the
-    pulse center (the compiler's design model: with mode='taylor1' a
-    compiled schedule reproduces its target exactly).  Returns lab-frame
-    packet amplitudes at the final clock plus a diagnostics dict.
+    The items run in order:
+
+      Wait          free flight for its duration;
+      PulseSpec     free flight to max(t_start, clock), then the pulse
+                    in the full model (integrate_pulse);
+      GateSchedule  the schedule as one operator (schedule_operator with
+                    the given `pulses`), its clock starting at the
+                    current clock, so its slot labels are the slots as
+                    they stand then; the storage levels must be empty
+                    (population <= 1e-12).
+
+    With n_trace >= 2 every flight and pulse segment is sampled at
+    n_trace points and the segments are joined into one TraceRecord, a
+    sample that two segments share kept once; a gate adds no samples.
+    Returns the final state and the trace (None without samples).  An
+    item that fails raises ProgramError with the item's index.
     """
-    spec = schedule.spec
-    M, t_end = schedule_operator(schedule, mode, pulses)
-    start = state_from_packet(spec, bt0)
-    v = M @ np.concatenate(([start.b_g, start.b_e], start.b_energy))
-    state = SimulationState(spec, v[2:], complex(v[0]), complex(v[1]), t_end)
-    info = {
-        "t_end": t_end,
-        "storage_leak": abs(state.b_g) ** 2 + abs(state.b_e) ** 2,
-        "b_g": state.b_g,
-        "b_e": state.b_e,
-        "norm": state.norm(),
-    }
-    return state.packet_amplitudes(mode=mode), info
+    if n_trace < 0 or n_trace == 1:
+        raise ValueError(f"n_trace must be 0 (off) or >= 2, got {n_trace}")
+    state = state.copy()
+    parts: list[TraceRecord] = []
+
+    def fly(t1: float) -> None:
+        if n_trace and t1 > state.t:
+            parts.append(_flight_trace(state, t1, n_trace, mode))
+        state.t = t1
+
+    for i, item in enumerate(program):
+        try:
+            if isinstance(item, Wait):
+                fly(state.t + item.duration)
+            elif isinstance(item, PulseSpec):
+                fly(max(item.t_start, state.t))
+                if n_trace:
+                    state, segment = integrate_pulse(state, item, mode, n_trace)
+                    parts.append(segment)
+                else:
+                    state = integrate_pulse(state, item, mode)
+            elif isinstance(item, GateSchedule):
+                leak = abs(state.b_g) ** 2 + abs(state.b_e) ** 2
+                if not leak <= 1e-12:
+                    raise ValueError(f"{leak:.3e} of the population sits in storage "
+                                     "levels; a compiled gate needs them empty")
+                if item.spec != state.spec:
+                    raise ValueError(f"schedule is for {item.spec}, the state for {state.spec}")
+                M, t_end = schedule_operator(item, mode, pulses)
+                # the schedule's clock starts at 0: move into its frame and back
+                phase = np.exp(-1j * detunings(state.spec, mode) * state.t)
+                v = M @ np.concatenate(([state.b_g, state.b_e], phase * state.b_energy))
+                state.b_g, state.b_e = complex(v[0]), complex(v[1])
+                state.b_energy = phase.conj() * v[2:]
+                state.t += t_end
+            else:
+                raise TypeError(f"unknown program item {item!r}")
+        except (RuntimeError, ValueError) as e:
+            raise ProgramError(i, str(e)) from e
+    return state, (_concat_traces(parts) if parts else None)
+
+
+def _flight_trace(state: SimulationState, t1: float, n: int, mode: str) -> TraceRecord:
+    """Free flight of state from its clock to t1, sampled at n points."""
+    grid = np.linspace(state.t, t1, n)
+    pops = np.abs(packet_amplitudes_at(state.b_energy, state.spec, grid, mode)) ** 2
+    return TraceRecord(
+        spec=state.spec,
+        t_au=grid,
+        packet_populations=pops,
+        pop_g=np.full(n, abs(state.b_g) ** 2),
+        pop_e=np.full(n, abs(state.b_e) ** 2),
+        norm_error=np.full(n, abs(state.norm() - 1.0)),
+    )
+
+
+def _concat_traces(parts: list[TraceRecord]) -> TraceRecord:
+    """Join segments in time order; the samples of a segment at or before
+    the previous segment's last sample are dropped."""
+    keep = [slice(None)] + [p.t_au > q.t_au[-1] for q, p in zip(parts, parts[1:])]
+    columns = ("t_au", "packet_populations", "pop_g", "pop_e", "norm_error")
+    return TraceRecord(spec=parts[0].spec, **{
+        c: np.concatenate([getattr(p, c)[k] for p, k in zip(parts, keep)]) for c in columns})
 
 
 def probe_states(spec: ManifoldSpec) -> list[np.ndarray]:

@@ -37,6 +37,8 @@ pulse shape alone.  pulse_propagator builds U0 with one matrix solve
 and caches it, so every pulse of one shape, at any centre and phase,
 costs a (d+1) x (d+1) product; integrate_pulse integrates one state
 through one pulse on the absolute clock and stays the reference route.
+gates.run_program drives single pulses (PulseSpec items) through
+integrate_pulse and compiled schedules through the cached U0.
 """
 
 import math
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .basis import energy_to_packet_matrix
+from .basis import energy_to_packet_matrix, packet_amplitudes_at
 from .constants import LN2, TWO_PI
 from .manifold import ManifoldSpec, detunings, time_scales
 
@@ -267,19 +269,7 @@ class SimulationState:
         packet keeps the slot it was created in; this is the natural
         frame for before/after population comparisons.
         """
-        F = energy_to_packet_matrix(self.spec.d)
-        if aligned:
-            return F @ self.b_energy
-        w = detunings(self.spec, mode)
-        return F @ (self.b_energy * np.exp(-1j * w * self.t))
-
-
-def state_from_packet(spec: ManifoldSpec, bt: np.ndarray, t: float = 0.0) -> SimulationState:
-    """State whose lab-frame packet amplitudes at time t equal bt."""
-    F = energy_to_packet_matrix(spec.d)
-    w = detunings(spec, "exact")
-    b_energy = np.exp(1j * w * t) * (F.conj().T @ np.asarray(bt, dtype=complex))
-    return SimulationState(spec=spec, b_energy=b_energy, t=t)
+        return packet_amplitudes_at(self.b_energy, self.spec, 0.0 if aligned else self.t, mode)
 
 
 def integrate_pulse(
@@ -304,8 +294,7 @@ def integrate_pulse(
             f"clock t={state.t} already past pulse support start {pulse.t_start}"
         )
     spec = state.spec
-    w = detunings(spec, mode)
-    deltas = w + pulse.carrier_detuning
+    deltas = detunings(spec, mode) + pulse.carrier_detuning
     omega = rabi_profile(spec, pulse.peak_rabi).omega_j
     ph = np.exp(1j * pulse.phase)
 
@@ -342,9 +331,7 @@ def integrate_pulse(
 
     ts = np.linspace(pulse.t_start, pulse.t_end, n_trace)
     Y = sol.sol(ts)
-    F = energy_to_packet_matrix(spec.d)
-    bt = (F @ (Y[1:, :] * np.exp(-1j * w[:, None] * ts[None, :]))).T
-    pops = np.abs(bt) ** 2
+    pops = np.abs(packet_amplitudes_at(Y[1:].T, spec, ts, mode)) ** 2
     pop_s = np.abs(Y[0, :]) ** 2
     norm_err = np.abs(np.sqrt(pop_s + pops.sum(axis=1) +
                               (abs(state.b_e) ** 2 if store_g else abs(state.b_g) ** 2)) - norm_in)

@@ -40,20 +40,22 @@ from .evolution import (
     shift_fidelity,
 )
 from .gates import (
+    ProgramError,
+    Wait,
     compile_unitary,
     compose_ops,
     decompose_unitary,
+    next_core_crossing,
     process_fidelity,
     random_two_level_unitary,
+    run_program,
     schedule_to_json,
-    simulate_schedule,
 )
 from .manifold import SPECTRUM_MODES, ManifoldSpec, detunings, time_scales
 from .pulse import (
     PulseSpec,
     SimulationState,
     core_rabi_dft,
-    integrate_pulse,
     pi_pulse_peak_rabi,
     rabi_profile,
     validate_pulse,
@@ -81,12 +83,12 @@ def parse_quantity(value, where: str, spec: ManifoldSpec | None = None) -> float
     Bare numbers are already atomic units.  Strings must be
     'NUMBER unit' with unit one of the SI tags (s, ms, us, ns, ps, fs),
     'au', or a manifold-relative tag (kepler, revival, superrevival)
-    which needs a manifold for scale.
+    which needs a manifold for scale.  The result must be finite.
     """
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected a quantity, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _finite(value, where)
     if not isinstance(value, str):
         raise ConfigError(f"{where}: expected a number or 'NUMBER unit' string")
     parts = value.split()
@@ -98,14 +100,27 @@ def parse_quantity(value, where: str, spec: ManifoldSpec | None = None) -> float
         raise ConfigError(f"{where}: bad number in {value!r}") from None
     unit = parts[1]
     if unit in TIME_UNITS:
-        return num * TIME_UNITS[unit]
+        return _finite(num * TIME_UNITS[unit], where)
     if unit in MANIFOLD_UNITS:
         if spec is None:
             raise ConfigError(f"{where}: unit {unit!r} needs a manifold context")
         ts = time_scales(spec)
-        return num * {"kepler": ts.t_kepler, "revival": ts.t_revival,
-                      "superrevival": ts.t_superrevival}[unit]
+        return _finite(num * {"kepler": ts.t_kepler, "revival": ts.t_revival,
+                              "superrevival": ts.t_superrevival}[unit], where)
     raise ConfigError(f"{where}: unknown unit {unit!r}")
+
+
+def _finite(value, where: str) -> float:
+    """A config number as a finite float; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number")
+    try:
+        x = float(value)
+    except OverflowError:       # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: must be finite, got {x!r}")
+    return x
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -294,9 +309,7 @@ def _coerce_param(key: str, value, default):
     if isinstance(default, int):
         return _require_int(value, where)
     if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}: expected a number")
-        return float(value)
+        return _finite(value, where)
     if isinstance(default, (list, tuple)):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list of integers")
@@ -547,7 +560,7 @@ def _fig2_pipeline(params: dict, n_trace: int):
     Starts one slot step before the pulse center, drives one calibrated
     pi pulse toward the ground storage level while slot 0 crosses the
     core, and coasts one slot step past it.  Returns the final state,
-    the pulse, and the pulse-window trace (co-moving slot labels).
+    the pulse, and the trace of the whole run (None for n_trace = 0).
     """
     spec = _spec_of(params)
     ts = time_scales(spec)
@@ -565,54 +578,9 @@ def _fig2_pipeline(params: dict, n_trace: int):
         raise ConfigError("fwhm_factor too large: pulse support swallows the lead-in")
     b0 = np.zeros(d, dtype=complex)
     b0[spec.slot_index(0)] = 1.0          # uniform slot amplitudes
-    state = SimulationState(spec=spec, b_energy=b0, t=-step)
-    state.advance(pulse.t_start - state.t)
-    if n_trace > 0:
-        state, ptrace = integrate_pulse(state, pulse, n_trace=n_trace)
-    else:
-        state, ptrace = integrate_pulse(state, pulse), None
-    state.advance(step - state.t)
-    return spec, ts, pulse, state, ptrace
-
-
-def _flight_trace(spec, b_energy, t0, t1, n, mode, pop_g, pop_e) -> TraceRecord:
-    """Free-flight trace segment: slot populations at each sample time."""
-    grid = np.linspace(t0, t1, n)
-    w = detunings(spec, mode)
-    F = energy_to_packet_matrix(spec.d)
-    bt = (np.exp(-1j * np.outer(grid, w)) * b_energy[None, :]) @ F.T
-    err = abs(math.sqrt(pop_g + pop_e + float(np.sum(np.abs(b_energy) ** 2))) - 1.0)
-    return TraceRecord(
-        spec=spec,
-        t_au=grid,
-        packet_populations=np.abs(bt) ** 2,
-        pop_g=np.full(n, pop_g),
-        pop_e=np.full(n, pop_e),
-        norm_error=np.full(n, err),
-    )
-
-
-def _concat_traces(parts: list[TraceRecord]) -> TraceRecord:
-    spec = parts[0].spec
-    ts_list, pops, pg, pe, ne = [], [], [], [], []
-    last_t = None
-    for p in parts:
-        sl = slice(1, None) if (last_t is not None and
-                                abs(p.t_au[0] - last_t) < 1e-12) else slice(None)
-        ts_list.append(p.t_au[sl])
-        pops.append(p.packet_populations[sl])
-        pg.append(p.pop_g[sl])
-        pe.append(p.pop_e[sl])
-        ne.append(p.norm_error[sl])
-        last_t = p.t_au[-1]
-    return TraceRecord(
-        spec=spec,
-        t_au=np.concatenate(ts_list),
-        packet_populations=np.vstack(pops),
-        pop_g=np.concatenate(pg),
-        pop_e=np.concatenate(pe),
-        norm_error=np.concatenate(ne),
-    )
+    state, trace = run_program(SimulationState(spec=spec, b_energy=b0, t=-step),
+                               [pulse, Wait(step - pulse.t_end)], n_trace=n_trace)
+    return spec, pulse, state, trace
 
 
 @_scenario(
@@ -621,8 +589,9 @@ def _concat_traces(parts: list[TraceRecord]) -> TraceRecord:
     nbar=180, d=8, fwhm_factor=0.5 * LN2, detuning=0.0, trace_points=161,
 )
 def _run_fig2(params: dict) -> ScenarioResult:
-    spec, ts, pulse, state, ptrace = _fig2_pipeline(
-        params, n_trace=int(params["trace_points"]))
+    if params["trace_points"] < 2:
+        raise ConfigError("config.params.trace_points: must be >= 2")
+    spec, _, state, trace = _fig2_pipeline(params, n_trace=params["trace_points"])
     d = spec.d
     aligned = state.packet_amplitudes(aligned=True)
     pops = np.abs(aligned) ** 2
@@ -638,7 +607,7 @@ def _run_fig2(params: dict) -> ScenarioResult:
                     f"{pg:.6g} >= {0.90 / d:.6g}"),
         _band("neighbor_loss_relative", loss_rel, 0.02, 0.08),
     ]
-    i_mid = int(np.argmin(np.abs(ptrace.t_au)))
+    i_mid = int(np.argmin(np.abs(trace.t_au)))
     obs = {
         "final_core_slot_population": hole,
         "final_ground_population": pg,
@@ -646,20 +615,11 @@ def _run_fig2(params: dict) -> ScenarioResult:
         "neighbor_loss_absolute": loss_abs,
         "ground_excess_relative": pg * d - 1.0,
         "mid_pulse_core_population": float(
-            ptrace.packet_populations[i_mid, spec.slot_index(0)]),
+            trace.packet_populations[i_mid, spec.slot_index(0)]),
         "norm_error": float(abs(state.norm() - 1.0)),
     }
     for i, k in enumerate(spec.k_values):
         obs[f"final_pop_k={k}"] = float(pops[i])
-    step = ts.t_kepler / d
-    b_before = np.zeros(d, dtype=complex)
-    b_before[spec.slot_index(0)] = 1.0
-    pe = float(abs(state.b_e) ** 2)
-    pre = _flight_trace(spec, b_before, -step, pulse.t_start, 33,
-                        "exact", 0.0, 0.0)
-    post = _flight_trace(spec, state.b_energy, pulse.t_end, step, 33,
-                         "exact", pg, pe)
-    trace = _concat_traces([pre, ptrace, post])
     return ScenarioResult("fig2_dark_packet", params, checks, obs, trace=trace)
 
 
@@ -669,9 +629,7 @@ def _run_fig2(params: dict) -> ScenarioResult:
     nbar=180, d=8, fwhm_factor=0.5 * LN2, detuning=0.0,
 )
 def _run_two_level_vs_full(params: dict) -> ScenarioResult:
-    full_params = dict(params)
-    full_params["trace_points"] = 0
-    spec, ts, pulse, state, _ = _fig2_pipeline(full_params, n_trace=0)
+    spec, pulse, state, _ = _fig2_pipeline(params, n_trace=0)
     aligned = state.packet_amplitudes(aligned=True)
     pg_full = float(abs(state.b_g) ** 2)
     hole_full = float(abs(aligned[spec.slot_index(0)]) ** 2)
@@ -918,15 +876,7 @@ def _parse_initial_state(value, spec: ManifoldSpec) -> np.ndarray:
     )
 
 
-def _next_core_time(spec: ManifoldSpec, step: float, slot: int, t_min: float) -> float:
-    """Earliest time >= t_min at which the given start-label slot is at the core."""
-    m_min = math.ceil(t_min / step - 1e-9)
-    m = m_min + ((-slot - m_min) % spec.d)
-    return m * step
-
-
-def _parse_pulse_event(sub: dict, spec: ManifoldSpec, step: float,
-                       state: SimulationState, where: str) -> PulseSpec:
+def _parse_pulse_event(sub: dict, spec: ManifoldSpec, clock: float, where: str) -> PulseSpec:
     _check_keys(sub, {"fwhm", "area", "peak_rabi", "detuning", "phase",
                       "target", "slot", "center"}, where)
     if "fwhm" not in sub:
@@ -937,23 +887,12 @@ def _parse_pulse_event(sub: dict, spec: ManifoldSpec, step: float,
     if ("area" in sub) == ("peak_rabi" in sub):
         raise ConfigError(f"{where}: give exactly one of area, peak_rabi")
     if "area" in sub:
-        area = sub["area"]
-        if area == "pi":
-            area = math.pi
-        if isinstance(area, bool) or not isinstance(area, (int, float)):
-            raise ConfigError(f"{where}.area: a number in radians, or 'pi'")
-        peak = pi_pulse_peak_rabi(spec, fwhm) * float(area) / math.pi
+        area = math.pi if sub["area"] == "pi" else _finite(sub["area"], f"{where}.area")
+        peak = pi_pulse_peak_rabi(spec, fwhm) * area / math.pi
     else:
-        pr = sub["peak_rabi"]
-        if isinstance(pr, bool) or not isinstance(pr, (int, float)):
-            raise ConfigError(f"{where}.peak_rabi: expected a number (au)")
-        peak = float(pr)
-    detuning = sub.get("detuning", 0.0)
-    if isinstance(detuning, bool) or not isinstance(detuning, (int, float)):
-        raise ConfigError(f"{where}.detuning: expected a number (au)")
-    phase = sub.get("phase", 0.0)
-    if isinstance(phase, bool) or not isinstance(phase, (int, float)):
-        raise ConfigError(f"{where}.phase: expected a number (radians)")
+        peak = _finite(sub["peak_rabi"], f"{where}.peak_rabi")
+    detuning = _finite(sub.get("detuning", 0.0), f"{where}.detuning")
+    phase = _finite(sub.get("phase", 0.0), f"{where}.phase")
     target = sub.get("target", "g")
     if target not in ("g", "e"):
         raise ConfigError(f"{where}.target: 'g' or 'e'")
@@ -962,18 +901,33 @@ def _parse_pulse_event(sub: dict, spec: ManifoldSpec, step: float,
         raise ConfigError(f"{where}: give center or slot, not both")
     if "center" in sub:
         center = parse_quantity(sub["center"], f"{where}.center", spec)
-        if center - sigma4 < state.t - 1e-9:
+        if center - sigma4 < clock - 1e-9:
             raise ConfigError(
                 f"{where}.center: pulse support starts before the clock "
-                f"({center - sigma4:.6g} < {state.t:.6g})"
+                f"({center - sigma4:.6g} < {clock:.6g})"
             )
     else:
         slot = _require_int(sub.get("slot", 0), f"{where}.slot")
         if slot not in spec.k_values:
             raise ConfigError(f"{where}.slot: {slot} not in {list(spec.k_values)}")
-        center = _next_core_time(spec, step, slot, state.t + sigma4)
-    return PulseSpec(fwhm=fwhm, peak_rabi=peak, carrier_detuning=float(detuning),
-                     phase=float(phase), center_time=center, target=target)
+        center = next_core_crossing(spec, slot, clock + sigma4)
+    return PulseSpec(fwhm=fwhm, peak_rabi=peak, carrier_detuning=detuning,
+                     phase=phase, center_time=center, target=target)
+
+
+def _parse_gate_event(sub: dict, spec: ManifoldSpec, where: str):
+    _check_keys(sub, {"unitary", "file", "align_revival"}, where)
+    if ("unitary" in sub) == ("file" in sub):
+        raise ConfigError(f"{where}: give exactly one of unitary, file")
+    U = (unitary_from_obj(sub["unitary"]) if "unitary" in sub
+         else load_unitary_file(sub["file"]))
+    align = sub.get("align_revival", False)
+    if not isinstance(align, bool):
+        raise ConfigError(f"{where}.align_revival: expected a boolean")
+    try:
+        return compile_unitary(U, spec, align_revival=align)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def _run_declarative(cfg: dict) -> ScenarioResult:
@@ -1008,19 +962,12 @@ def _run_declarative(cfg: dict) -> ScenarioResult:
     if not isinstance(events, list):
         raise ConfigError("config.events: expected a list")
 
-    ts = time_scales(spec)
-    step = ts.t_kepler / spec.d
-    F = energy_to_packet_matrix(spec.d)
+    step = time_scales(spec).t_kepler / spec.d
     b0 = _parse_initial_state(cfg.get("initial_state"), spec)
-    state = SimulationState(spec=spec, b_energy=b0.copy())
-    parts: list[TraceRecord] = []
 
-    def sample_flight(t1: float) -> None:
-        if trace_points and t1 > state.t + 1e-15:
-            parts.append(_flight_trace(
-                spec, state.b_energy, state.t, t1, max(2, trace_points),
-                mode, abs(state.b_g) ** 2, abs(state.b_e) ** 2))
-
+    # lower each event to one program item; the clock places slot pulses
+    program: list = []
+    clock = 0.0
     for i, ev in enumerate(events):
         where = f"config.events[{i}]"
         ev = _require_mapping(ev, where)
@@ -1031,55 +978,28 @@ def _run_declarative(cfg: dict) -> ScenarioResult:
             dt = parse_quantity(payload, f"{where}.wait", spec)
             if dt < 0:
                 raise ConfigError(f"{where}.wait: must be >= 0")
-            sample_flight(state.t + dt)
-            state.advance(dt)
+            program.append(Wait(dt))
+            clock += dt
         elif kind == "shift":
-            n = _require_int(payload, f"{where}.shift") % spec.d
-            sample_flight(state.t + n * step)
-            state.advance(n * step)
+            dt = (_require_int(payload, f"{where}.shift") % spec.d) * step
+            program.append(Wait(dt))
+            clock += dt
         elif kind == "pulse":
-            sub = _require_mapping(payload, where)
-            pulse = _parse_pulse_event(sub, spec, step, state, where)
-            sample_flight(pulse.t_start)
-            state.advance(pulse.t_start - state.t)
-            try:
-                if trace_points:
-                    state, ptr = integrate_pulse(state, pulse, mode=mode,
-                                                 n_trace=max(2, trace_points))
-                    parts.append(ptr)
-                else:
-                    state = integrate_pulse(state, pulse, mode=mode)
-            except (RuntimeError, ValueError) as e:
-                raise ScenarioError(f"{where}: {e}") from None
+            pulse = _parse_pulse_event(_require_mapping(payload, where), spec, clock, where)
+            program.append(pulse)
+            clock = pulse.t_end
         elif kind == "gate":
-            sub = _require_mapping(payload, where)
-            _check_keys(sub, {"unitary", "file", "align_revival"}, where)
-            if ("unitary" in sub) == ("file" in sub):
-                raise ConfigError(f"{where}: give exactly one of unitary, file")
-            U = (unitary_from_obj(sub["unitary"]) if "unitary" in sub
-                 else load_unitary_file(sub["file"]))
-            align = sub.get("align_revival", False)
-            if not isinstance(align, bool):
-                raise ConfigError(f"{where}.align_revival: expected a boolean")
-            leak = abs(state.b_g) ** 2 + abs(state.b_e) ** 2
-            if leak > 1e-12:
-                raise ScenarioError(
-                    f"{where}: {leak:.3e} of the population sits in storage "
-                    "levels; a compiled gate needs them empty"
-                )
-            try:
-                sched = compile_unitary(U, spec, align_revival=align)
-                bt_now = state.packet_amplitudes(mode=mode)
-                bt_out, info = simulate_schedule(sched, bt_now, mode=mode)
-            except (RuntimeError, ValueError) as e:
-                raise ScenarioError(f"{where}: {e}") from None
-            t_new = state.t + info["t_end"]
-            w = detunings(spec, mode)
-            state.b_energy = np.exp(1j * w * t_new) * (F.conj().T @ bt_out)
-            state.t = t_new
-            state.b_g, state.b_e = info["b_g"], info["b_e"]
+            sched = _parse_gate_event(_require_mapping(payload, where), spec, where)
+            program.append(sched)
+            clock += sched.duration()
         else:
             raise ConfigError(f"{where}: unknown event {kind!r}")
+
+    try:
+        state, trace = run_program(SimulationState(spec=spec, b_energy=b0), program,
+                                   mode=mode, n_trace=trace_points)
+    except ProgramError as e:
+        raise ScenarioError(f"config.events[{e.index}]: {e}") from None
 
     pops_packet = np.abs(state.packet_amplitudes(mode=mode)) ** 2
     pops_energy = np.abs(state.b_energy) ** 2
@@ -1099,7 +1019,6 @@ def _run_declarative(cfg: dict) -> ScenarioResult:
         w = detunings(spec, mode)
         obs["autocorrelation"] = float(
             abs(np.sum(np.conj(b0) * state.b_energy * np.exp(-1j * w * state.t))) ** 2)
-    trace = _concat_traces(parts) if parts else None
     params = {"nbar": spec.nbar, "d": spec.d, "spectrum": mode,
               "events": len(events)}
     return ScenarioResult("declarative", params, checks, obs, trace=trace)

@@ -58,6 +58,9 @@ def test_amplitude_vector_validation():
         AmplitudeVector(basis="energy", values=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         AmplitudeVector(basis="position", values=np.array([1.0, 0.0]))
+    for bad in ([np.nan, 0.0, 0.0, 1.0], [np.inf, 0.0]):    # NaN compares false
+        with pytest.raises(ValueError):
+            AmplitudeVector(basis="packet", values=np.array(bad))
     v = AmplitudeVector(basis="packet", values=np.array([1.0, 0.0]))
     assert v.d == 2
     np.testing.assert_allclose(v.populations(), [1.0, 0.0])
@@ -110,3 +113,16 @@ def test_packet_amplitudes_at_rejects_wrong_size():
     spec = ManifoldSpec(nbar=180, d=8)
     with pytest.raises(ValueError):
         packet_amplitudes_at(np.ones(4) / 2.0, spec, 0.0)
+
+
+def test_packet_amplitudes_at_broadcasts_over_times_and_states():
+    spec = ManifoldSpec(nbar=180, d=8)
+    rng = np.random.default_rng(4)
+    b = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+    t = rng.uniform(0.0, 1e8, size=5)
+    one_each = np.array([packet_amplitudes_at(b[i], spec, t[i]) for i in range(5)])
+    np.testing.assert_allclose(packet_amplitudes_at(b, spec, t), one_each, rtol=0, atol=1e-12)
+    grid = packet_amplitudes_at(b[0], spec, t, mode="taylor2")
+    assert grid.shape == (5, 8)
+    np.testing.assert_allclose(grid[3], packet_amplitudes_at(b[0], spec, t[3], mode="taylor2"),
+                               rtol=0, atol=1e-12)

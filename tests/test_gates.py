@@ -13,11 +13,12 @@ from rydpacket import (
     GateSchedule,
     ManifoldPiPulse,
     ManifoldSpec,
+    ProgramError,
     PulseSpec,
+    SimulationState,
     StoragePulse,
     TwoLevelOp,
     Wait,
-    compile_two_level,
     compile_unitary,
     compose_ops,
     decompose_unitary,
@@ -25,17 +26,20 @@ from rydpacket import (
     energy_to_packet_matrix,
     integrate_pulse,
     merge_same_pair,
+    packet_to_energy_matrix,
+    pi_pulse_peak_rabi,
     probe_states,
     process_fidelity,
     random_two_level_unitary,
+    run_program,
     schedule_from_json,
     schedule_to_json,
     shift_matrix,
-    simulate_schedule,
-    state_from_packet,
     time_scales,
     zyz_angles,
 )
+from rydpacket.constants import LN2
+from rydpacket.gates import schedule_operator
 
 # frozen reference values (nbar = 180, exact spectrum, full pulse model)
 WAIT_ONE_PERIOD_FID_D8 = 0.9333572219416217    # Wait(t_kepler) vs identity, d = 8
@@ -49,6 +53,12 @@ def _haar(d, seed):
 
 def _spec(d=8):
     return ManifoldSpec(nbar=180, d=d)
+
+
+def _packet_state(spec, bt, t=0.0):
+    """State whose lab-frame packet amplitudes at clock t are bt."""
+    w = detunings(spec, "exact")
+    return SimulationState(spec, np.exp(1j * w * t) * (packet_to_energy_matrix(spec.d) @ bt), t=t)
 
 
 def test_two_level_op_validation():
@@ -220,9 +230,9 @@ def test_shift_targets_compile_to_free_flight():
         assert sched.duration() == pytest.approx(n * ts.t_kepler / 8, rel=1e-12)
         bt0 = np.zeros(8, dtype=complex)
         bt0[2] = 1.0
-        out, info = simulate_schedule(sched, bt0, mode="taylor1", pulses="ideal")
-        np.testing.assert_allclose(out, np.roll(bt0, n), atol=1e-9)
-        assert info["storage_leak"] == 0.0
+        out, _ = run_program(_packet_state(spec, bt0), [sched], mode="taylor1", pulses="ideal")
+        np.testing.assert_allclose(out.packet_amplitudes(mode="taylor1"), np.roll(bt0, n), atol=1e-9)
+        assert abs(out.b_g) ** 2 + abs(out.b_e) ** 2 == 0.0
 
 
 def test_empty_schedule_identity_fidelity():
@@ -266,14 +276,6 @@ def test_compiled_two_level_full_model_frozen():
     assert fid_full == pytest.approx(TWO_LEVEL_D4_FULL_FID, rel=1e-10)
 
 
-def test_compile_two_level_matches_compile_unitary():
-    spec = _spec(4)
-    op = TwoLevelOp(k=0, k2=1, u2=_haar(2, 5))
-    a = compile_two_level(op, spec)
-    b = compile_unitary(op.embed(spec), spec)
-    assert a == b
-
-
 def test_wait_schedule_frozen_fidelities():
     spec8 = _spec(8)
     ts8 = time_scales(spec8)
@@ -298,7 +300,7 @@ def _reference_run(sched, bt0, mode, pulses):
     F = energy_to_packet_matrix(spec.d)
     w = detunings(spec, mode)
     core = spec.slot_index(0)
-    state = state_from_packet(spec, bt0)
+    state = _packet_state(spec, bt0)
     sigma = PulseSpec(fwhm=sched.pulse_fwhm, peak_rabi=1.0).sigma
     for prim in sched.primitives:
         if isinstance(prim, Wait):
@@ -337,13 +339,13 @@ def test_schedule_operator_matches_per_primitive_loop(pulses):
     bt0 /= np.linalg.norm(bt0)
 
     ref = _reference_run(sched, bt0, "exact", pulses)
-    out, info = simulate_schedule(sched, bt0, mode="exact", pulses=pulses)
+    out, _ = run_program(_packet_state(spec, bt0), [sched], mode="exact", pulses=pulses)
     assert sched.manifold_pulse_count() >= 20
-    np.testing.assert_allclose(out, ref.packet_amplitudes(), rtol=0, atol=1e-10)
-    assert info["b_g"] == pytest.approx(ref.b_g, abs=1e-10)
-    assert info["b_e"] == pytest.approx(ref.b_e, abs=1e-10)
-    assert info["t_end"] == ref.t
-    assert info["norm"] == pytest.approx(ref.norm(), abs=1e-10)
+    np.testing.assert_allclose(out.packet_amplitudes(), ref.packet_amplitudes(), rtol=0, atol=1e-10)
+    assert out.b_g == pytest.approx(ref.b_g, abs=1e-10)
+    assert out.b_e == pytest.approx(ref.b_e, abs=1e-10)
+    assert out.t == ref.t
+    assert out.norm() == pytest.approx(ref.norm(), abs=1e-10)
 
 
 def test_padding_cost_grows_with_orbits():
@@ -388,17 +390,18 @@ def test_probe_states_properties():
         np.testing.assert_allclose(np.abs(b) ** 2, 1.0 / 8.0, atol=1e-12)
 
 
-def test_simulate_schedule_single_state_design_model():
+def test_run_program_single_state_design_model():
     spec = _spec(4)
     U = _haar(4, 17)
     sched = compile_unitary(U, spec)
     rng = np.random.default_rng(2)
     bt0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     bt0 /= np.linalg.norm(bt0)
-    out, info = simulate_schedule(sched, bt0, mode="taylor1", pulses="ideal")
-    assert abs(np.vdot(U @ bt0, out)) ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert info["storage_leak"] < 1e-16
-    assert info["norm"] == pytest.approx(1.0, abs=1e-12)
+    out, _ = run_program(_packet_state(spec, bt0), [sched], mode="taylor1", pulses="ideal")
+    assert abs(np.vdot(U @ bt0, out.packet_amplitudes(mode="taylor1"))) ** 2 == pytest.approx(
+        1.0, abs=1e-12)
+    assert abs(out.b_g) ** 2 + abs(out.b_e) ** 2 < 1e-16
+    assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_align_revival_pads_duration():
@@ -410,3 +413,112 @@ def test_align_revival_pads_duration():
     assert aligned.duration() > plain.duration()
     n_rev = aligned.duration() / ts.t_revival
     assert n_rev == pytest.approx(round(n_rev), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the executor for timed programs
+
+
+def _mixed_program(spec, t0):
+    """Wait, a phased pulse on g, a detuned pulse on e, a compiled gate
+    and a final wait.  The pulses are weak enough (area 1e-6) to leave
+    the storage population below the gate's 1e-12 bound."""
+    ts = time_scales(spec)
+    step = ts.t_kepler / spec.d
+    fwhm = 0.25 * LN2 * step
+    peak = 1e-6 / math.pi * pi_pulse_peak_rabi(spec, fwhm)
+    sched = compile_unitary(_haar(spec.d, 41), spec)
+    return [
+        Wait(0.37 * step),
+        PulseSpec(fwhm=fwhm, peak_rabi=peak, phase=0.9, target="g",
+                  center_time=t0 + 2.0 * step),
+        PulseSpec(fwhm=fwhm, peak_rabi=peak, phase=-0.4, target="e",
+                  carrier_detuning=0.6 * 2.0 * math.pi / ts.t_kepler,
+                  center_time=t0 + 3.5 * step),
+        sched,
+        Wait(1.3 * step),
+    ]
+
+
+def _program_reference(state, program, mode, pulses):
+    """Step by step: integrate_pulse per pulse, and the gate through the
+    lab-frame packet amplitudes -> F^H -> schedule operator -> back."""
+    spec = state.spec
+    F = energy_to_packet_matrix(spec.d)
+    w = detunings(spec, mode)
+    state = state.copy()
+    for item in program:
+        if isinstance(item, Wait):
+            state.advance(item.duration)
+        elif isinstance(item, PulseSpec):
+            state = integrate_pulse(state, item, mode=mode)
+        else:
+            M, t_end = schedule_operator(item, mode, pulses)
+            b = F.conj().T @ state.packet_amplitudes(mode=mode)
+            v = M @ np.concatenate(([state.b_g, state.b_e], b))
+            bt_out = F @ (v[2:] * np.exp(-1j * w * t_end))
+            state.t += t_end
+            state.b_energy = np.exp(1j * w * state.t) * (F.conj().T @ bt_out)
+            state.b_g, state.b_e = v[0], v[1]
+    return state
+
+
+@pytest.mark.parametrize("pulses", ["full", "ideal"])
+def test_run_program_mixed_matches_step_by_step(pulses):
+    spec = _spec(4)
+    rng = np.random.default_rng(8)
+    bt0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    t0 = 3.21 * time_scales(spec).t_kepler
+    start = _packet_state(spec, bt0 / np.linalg.norm(bt0), t=t0)
+    program = _mixed_program(spec, t0)
+    ref = _program_reference(start, program, "exact", pulses)
+    out, trace = run_program(start, program, mode="exact", pulses=pulses)
+    assert trace is None
+    np.testing.assert_allclose(out.b_energy, ref.b_energy, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(out.packet_amplitudes(), ref.packet_amplitudes(),
+                               rtol=0, atol=1e-10)
+    assert abs(out.b_g - ref.b_g) <= 1e-10 and abs(out.b_e - ref.b_e) <= 1e-10
+    assert out.t == pytest.approx(ref.t, rel=1e-15)
+    assert out.norm() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_run_program_leaves_input_state_alone():
+    spec = _spec(4)
+    t0 = 0.5 * time_scales(spec).t_kepler
+    start = _packet_state(spec, np.full(4, 0.5, dtype=complex), t=t0)
+    before = (start.b_energy.copy(), start.b_g, start.b_e, start.t)
+    out, _ = run_program(start, _mixed_program(spec, t0))
+    np.testing.assert_array_equal(start.b_energy, before[0])
+    assert (start.b_g, start.b_e, start.t) == before[1:]
+    assert out.t > start.t
+
+
+def test_run_program_trace_joins_segments_once():
+    spec = _spec(4)
+    program = _mixed_program(spec, 0.0)
+    _, trace = run_program(_packet_state(spec, np.full(4, 0.5, dtype=complex)),
+                           program, n_trace=9)
+    # wait, flight to the pulse, pulse, flight, pulse, gate (no samples),
+    # wait: four segment boundaries are shared, the gate breaks the chain
+    assert len(trace.t_au) == 6 * 9 - 4
+    assert np.all(np.diff(trace.t_au) > 0)
+    assert trace.t_au[0] == 0.0
+    assert trace.t_au[-1] == pytest.approx(
+        program[2].t_end + program[3].duration() + program[4].duration, rel=1e-15)
+    assert np.max(trace.norm_error) <= 1e-8
+
+
+def test_run_program_rejects_bad_items():
+    spec = _spec(4)
+    start = SimulationState(spec, np.zeros(4, dtype=complex), b_g=1.0)
+    sched = compile_unitary(_haar(4, 3), spec)
+    with pytest.raises(ProgramError) as err:       # a gate needs empty storage
+        run_program(start, [Wait(1.0), sched])
+    assert err.value.index == 1
+    assert isinstance(err.value, ValueError)
+    late = PulseSpec(fwhm=1e5, peak_rabi=1e-6, center_time=1e6)
+    with pytest.raises(ProgramError) as err:       # the clock never runs backwards
+        run_program(start, [Wait(2e6), late])
+    assert err.value.index == 1
+    with pytest.raises(ValueError):
+        run_program(start, [], n_trace=1)

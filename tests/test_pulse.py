@@ -14,9 +14,9 @@ from rydpacket import (
     core_rabi_dft,
     detunings,
     integrate_pulse,
+    packet_to_energy_matrix,
     pi_pulse_peak_rabi,
     rabi_profile,
-    state_from_packet,
     time_scales,
     two_level_oracle,
     validate_pulse,
@@ -150,14 +150,16 @@ def test_validate_pulse_frozen_figures():
     assert not fast.bandwidth_ok          # spectrum spills past the manifold
 
 
-def test_state_from_packet_roundtrip_at_nonzero_time():
+def test_packet_amplitudes_at_nonzero_clock():
     spec = _spec()
     ts = time_scales(spec)
     rng = np.random.default_rng(31)
     bt = rng.normal(size=spec.d) + 1j * rng.normal(size=spec.d)
     bt /= np.linalg.norm(bt)
     t = 0.3 * ts.t_kepler
-    state = state_from_packet(spec, bt, t=t)
+    # level amplitudes whose lab-frame packet amplitudes at clock t are bt
+    b = np.exp(1j * detunings(spec) * t) * (packet_to_energy_matrix(spec.d) @ bt)
+    state = SimulationState(spec=spec, b_energy=b, t=t)
     np.testing.assert_allclose(state.packet_amplitudes(), bt, atol=1e-12)
     assert state.t == t
     # the co-moving frame differs once the flight phases are nonzero

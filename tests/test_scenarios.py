@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from scipy.stats import unitary_group
 
 from rydpacket import (
     ConfigError,
     ManifoldSpec,
+    PulseSpec,
     ScenarioError,
     describe,
     list_scenarios,
@@ -117,9 +119,13 @@ def test_parse_quantity():
         1.5 * ts.t_kepler, rel=1e-15)
     assert parse_quantity("0.5 revival", "q", spec) == pytest.approx(
         0.5 * ts.t_revival, rel=1e-15)
-    for bad in ["3ns", "x ns", "1 lightyear", True, [1], "1 kepler ish"]:
+    for bad in ["3ns", "x ns", "1 lightyear", True, [1], "1 kepler ish",
+                math.nan, math.inf, "nan ns", "-inf au", "1e308 s", 10**400]:
         with pytest.raises(ConfigError):
             parse_quantity(bad, "q")
+    for bad in ["inf kepler", "nan revival", "1e300 superrevival"]:
+        with pytest.raises(ConfigError):
+            parse_quantity(bad, "q", spec)
     with pytest.raises(ConfigError):
         parse_quantity("1 kepler", "q")      # no manifold context
 
@@ -262,6 +268,7 @@ def test_declarative_config_errors():
         [{"wait": -1.0}],
         [{"gate": {"unitary": np.eye(8).tolist(),
                    "file": "x.json"}}],                        # both sources
+        [{"gate": {"unitary": (2.0 * np.eye(8)).tolist()}}],   # not unitary
     ]
     for events in bad_events:
         with pytest.raises(ConfigError):
@@ -274,6 +281,24 @@ def test_declarative_config_errors():
         run_scenario(_decl(events=[], spectrum="cubic", **base))
     with pytest.raises(ConfigError):
         run_scenario({"manifold": {"nbar": 180}, "initial_state": "uniform_packet"})
+
+
+def test_declarative_pulse_center_within_clock_tolerance():
+    # a centre up to 1e-9 au before 4 sigma past the clock is accepted;
+    # the pulse then starts at the clock instead of flying backwards
+    spec = ManifoldSpec(nbar=180, d=8)
+    fwhm_au = 0.25 * LN2 * time_scales(spec).t_kepler / 8
+    center = 4.0 * PulseSpec(fwhm=fwhm_au, peak_rabi=1.0).sigma - 5e-10
+    assert PulseSpec(fwhm=fwhm_au, peak_rabi=1.0, center_time=center).t_start < 0.0
+    res = run_scenario(_decl(
+        initial_state={"packet": 0},
+        events=[{"pulse": {"fwhm": fwhm_au, "area": "pi", "center": center}},
+                {"wait": "0.1 kepler"}],
+        outputs={"trace_points": 5},
+    ))
+    assert res.passed
+    assert res.observables["pop_g"] > 0.0
+    assert np.all(np.diff(res.trace.t_au) > 0)
 
 
 def test_declarative_trace():
@@ -429,3 +454,37 @@ def test_cli_verify_rejects_nan_wait(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(sfile), str(ufile)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+_NAN_AMPLITUDES = {"amplitudes": {"basis": "packet",
+                                  "values": [[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}}
+
+
+@pytest.mark.parametrize("events, initial", [
+    ([{"wait": "nan ns"}], None),
+    ([{"wait": math.nan}], None),
+    ([{"wait": "inf kepler"}], None),
+    ([{"pulse": {"fwhm": "inf ns", "area": "pi"}}], None),
+    ([{"pulse": {"fwhm": "0.02 kepler", "area": math.nan}}], None),
+    ([{"pulse": {"fwhm": "0.02 kepler", "peak_rabi": math.inf}}], None),
+    ([{"pulse": {"fwhm": "0.02 kepler", "area": "pi", "detuning": math.nan}}], None),
+    ([{"pulse": {"fwhm": "0.02 kepler", "area": "pi", "phase": -math.inf}}], None),
+    ([], _NAN_AMPLITUDES),
+], ids=["wait-nan-ns", "wait-nan", "wait-inf-kepler", "fwhm-inf", "area-nan",
+        "peak-rabi-inf", "detuning-nan", "phase-inf", "amplitudes-nan"])
+def test_cli_run_rejects_non_finite_config(tmp_path, capsys, events, initial):
+    # each once printed nan results with exit 0, died with a traceback
+    # or hung in the pulse integrator
+    cfg = _decl(d=4, initial_state=initial or {"packet": 0}, events=events)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["run", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_non_finite_scenario_param(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"scenario": "fig2_dark_packet",
+                                    "params": {"detuning": math.nan}}))
+    assert main(["run", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
