@@ -39,15 +39,21 @@ costs a (d+1) x (d+1) product; integrate_pulse integrates one state
 through one pulse on the absolute clock and stays the reference route.
 gates.run_program drives single pulses (PulseSpec items) through
 integrate_pulse and compiled schedules through the cached U0.
+
+Every ODE here (integrate_pulse, pulse_propagator and the detuned
+two_level_oracle) goes through one stepper, solve_ivp: the
+Dormand-Prince 5(4) pair with Shampine's dense output, written to take
+the same steps with the same arithmetic as scipy.integrate's RK45, so
+scipy is not needed at run time.
 """
 
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .basis import energy_to_packet_matrix, packet_amplitudes_at
 from .constants import LN2, TWO_PI
@@ -70,8 +76,11 @@ class PulseSpec:
     target: str = "g"            # storage level it couples: 'g' or 'e'
 
     def __post_init__(self):
-        if self.fwhm <= 0:
-            raise ValueError("pulse FWHM must be positive")
+        if not (math.isfinite(self.fwhm) and self.fwhm > 0):
+            raise ValueError(f"pulse FWHM must be positive and finite, got {self.fwhm}")
+        for name in ("peak_rabi", "carrier_detuning", "phase", "center_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"pulse {name} must be finite, got {getattr(self, name)}")
         if self.target not in ("g", "e"):
             raise ValueError(f"pulse target must be 'g' or 'e', got {self.target!r}")
 
@@ -213,16 +222,15 @@ def two_level_oracle(
     def rhs(t, y):
         f = pulse.envelope(t)
         coep = 0.5j * f * omega_tilde0
-        return [
+        return np.array([
             coep * np.exp(1j * (pulse.phase - d0 * t)) * y[1],
             coep * np.exp(1j * (d0 * t - pulse.phase)) * y[0],
-        ]
+        ])
 
     sol = solve_ivp(
         rhs,
         (pulse.t_start, pulse.t_end),
         np.array([b_g0, bt0_0], dtype=complex),
-        method="RK45",
         rtol=1e-10,
         atol=1e-12,
         max_step=min(pulse.fwhm / 50.0, TWO_PI / (10.0 * abs(d0))),
@@ -285,9 +293,10 @@ def integrate_pulse(
     also returns a TraceRecord of populations sampled across the pulse
     (packet populations on the slot grid of each sample time).
 
-    Integration uses an adaptive embedded Runge-Kutta 4(5) pair with
-    rtol 1e-10, atol 1e-12 and a max step bounded by both the envelope
-    and the fastest detuning phase; norm drift beyond 1e-8 raises.
+    Integration uses the package's Dormand-Prince 5(4) stepper
+    (solve_ivp, the steps of scipy's RK45) with rtol 1e-10, atol 1e-12
+    and a max step bounded by both the envelope and the fastest
+    detuning phase; norm drift beyond 1e-8 raises.
     """
     if state.t > pulse.t_start + 1e-9 * pulse.fwhm:
         raise ValueError(
@@ -297,16 +306,21 @@ def integrate_pulse(
     deltas = detunings(spec, mode) + pulse.carrier_detuning
     omega = rabi_profile(spec, pulse.peak_rabi).omega_j
     ph = np.exp(1j * pulse.phase)
+    i_deltas = 1j * deltas
+    w_in = 0.5j * ph * omega               # levels -> storage
+    w_out = 0.5j * np.conj(ph) * omega     # storage -> levels
+    a, tc = -4.0 * LN2 / pulse.fwhm**2, pulse.center_time
+    n = spec.d + 1
 
     store_g = pulse.target == "g"
 
     def rhs(t, y):
-        bs = y[0]
-        bj = y[1:]
-        f = np.exp(-4.0 * LN2 * (t - pulse.center_time) ** 2 / pulse.fwhm**2)
-        dbs = 0.5j * f * ph * np.sum(omega * np.exp(-1j * deltas * t) * bj)
-        dbj = 0.5j * f * np.conj(ph) * omega * np.exp(1j * deltas * t) * bs
-        return np.concatenate(([dbs], dbj))
+        f = math.exp(a * (t - tc) ** 2)
+        e = np.exp(i_deltas * t)
+        dy = np.empty(n, dtype=complex)
+        dy[0] = f * (w_in @ (e.conj() * y[1:]))
+        dy[1:] = w_out * e * (f * y[0])
+        return dy
 
     y0 = np.concatenate(([state.b_g if store_g else state.b_e], state.b_energy))
     norm_in = state.norm()
@@ -351,19 +365,150 @@ def _solve_pulse(rhs, pulse: PulseSpec, deltas: np.ndarray, y0: np.ndarray,
     """RK45 over the pulse support, max step bounded by the envelope and
     the fastest detuning phase."""
     max_step = min(pulse.fwhm / 50.0, TWO_PI / (10.0 * float(np.max(np.abs(deltas)))))
-    sol = solve_ivp(
-        rhs,
-        (pulse.t_start, pulse.t_end),
-        y0,
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-12,
-        max_step=max_step,
-        dense_output=dense_output,
-    )
+    sol = solve_ivp(rhs, (pulse.t_start, pulse.t_end), y0, rtol=1e-10, atol=1e-12,
+                    max_step=max_step, dense_output=dense_output)
     if not sol.success:
         raise RuntimeError(f"pulse integration failed: {sol.message}")
     return sol
+
+
+# Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)) with
+# Shampine's quartic dense output (Math. Comp. 46, 135 (1986)): the
+# tableau, step controller and interpolant of scipy.integrate's RK45.  The
+# stage weights are complex, so np.dot need not convert them on every call.
+_C = [0, 1/5, 3/10, 4/5, 8/9, 1]
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+], dtype=complex)
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84], dtype=complex)
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40], dtype=complex)
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_STAGES = [(c, a[:s]) for s, (c, a) in enumerate(zip(_C, _A)) if s > 0]
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5        # -1 / (order of the error estimate + 1)
+
+
+def _rms(x: np.ndarray) -> float:
+    """RMS norm of a complex vector, summed as numpy.linalg.norm sums it."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol) -> float:
+    """First step size from the local derivative scale (Hairer, Norsett &
+    Wanner, Solving ODEs I, Sec. II.4), as scipy's select_initial_step."""
+    interval = t_bound - t0
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval, max_step)
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol, max_step, dense_output=False):
+    """Integrate dy/dt = fun(t, y) over t_span = (t0, t1), t1 > t0, with RK45.
+
+    fun returns a complex array shaped like y.  Steps, rhs calls and
+    results are those of scipy.integrate.solve_ivp(method="RK45") with
+    the same arguments: same initial step, RMS error norm, step
+    controller (a step after a rejection may not grow) and dense output.
+    A step that would fall below ten ulps of t, or a NaN step size, ends
+    the run with success False.  Returns a namespace with t (accepted
+    times), y (n, len(t)), nfev, success, message and sol: with
+    dense_output, a callable giving y at a 1-D array of times (shape
+    (n, len(times))), else None.
+    """
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    if not t_bound > t:
+        raise ValueError(f"t_span must be increasing, got {t_span}")
+    y = np.asarray(y0, dtype=complex)
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_bound, max_step, rtol, atol)
+    nfev = 2
+    K = np.empty((7, y.size), dtype=complex)
+    KT = K.T
+    abs_y = np.abs(y)
+    ts, ys, Qs = [t], [y], []
+    message = None
+    while t < t_bound:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while h_abs >= min_step:        # False for a NaN step size too
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s, (c, a) in enumerate(_STAGES, start=1):
+                K[s] = fun(t + c * h, y + np.dot(KT[:, :s], a) * h)
+            y_new = y + h * np.dot(KT[:, :6], _B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            nfev += 6
+            abs_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_new) * rtol
+            error_norm = _rms(np.dot(KT, _E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        else:
+            message = "Required step size is less than spacing between numbers."
+            break
+        if dense_output:
+            Qs.append(KT.dot(_P))
+        t, y, f, abs_y = t_new, y_new, f_new, abs_new
+        ts.append(t)
+        ys.append(y)
+    ts = np.array(ts)
+    return SimpleNamespace(
+        t=ts, y=np.vstack(ys).T, nfev=nfev, success=message is None,
+        message=message or "The solver successfully reached the end of the integration interval.",
+        sol=_DenseSolution(ts, ys, Qs) if dense_output else None)
+
+
+class _DenseSolution:
+    """Shampine's quartic interpolant on each accepted step."""
+
+    def __init__(self, ts, ys, Qs):
+        self.ts, self.ys, self.Qs = ts, ys, Qs
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        order = np.argsort(t)
+        t_sorted = t[order]
+        # a time on a step boundary belongs to the earlier step
+        segs = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, len(self.Qs) - 1)
+        out = np.empty((self.ys[0].size, t.size), dtype=complex)
+        cuts = np.flatnonzero(np.diff(segs)) + 1
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, t.size]):
+            k = segs[lo]
+            h = self.ts[k + 1] - self.ts[k]
+            x = (t_sorted[lo:hi] - self.ts[k]) / h
+            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+            out[:, order[lo:hi]] = h * np.dot(self.Qs[k], p) + self.ys[k][:, None]
+        return out
 
 
 _PROPAGATORS: OrderedDict = OrderedDict()     # shape key -> U0, least recently used first
@@ -393,14 +538,18 @@ def pulse_propagator(spec: ManifoldSpec, pulse: PulseSpec, mode: str = "exact") 
     shape = replace(pulse, center_time=0.0, phase=0.0)
     deltas = detunings(spec, mode) + shape.carrier_detuning
     omega = rabi_profile(spec, shape.peak_rabi).omega_j
+    i_deltas = 1j * deltas
+    w = 0.5j * omega
+    a = -4.0 * LN2 / shape.fwhm**2
     n = spec.d + 1
 
     def rhs(t, y):
         Y = y.reshape(n, n)
-        f = np.exp(-4.0 * LN2 * t**2 / shape.fwhm**2)
-        dY = np.empty_like(Y)
-        dY[0] = (0.5j * f * omega * np.exp(-1j * deltas * t)) @ Y[1:]
-        dY[1:] = (0.5j * f * omega * np.exp(1j * deltas * t))[:, None] * Y[0]
+        f = math.exp(a * t * t)
+        e = np.exp(i_deltas * t)
+        dY = np.empty((n, n), dtype=complex)
+        dY[0] = (f * w * e.conj()) @ Y[1:]
+        dY[1:] = (f * w * e)[:, None] * Y[0]
         return dY.ravel()
 
     sol = _solve_pulse(rhs, shape, deltas, np.eye(n, dtype=complex).ravel())

@@ -1,15 +1,22 @@
 """Pulse envelopes, calibration, and storage <-> slot transfer."""
 
 import math
+import os
+import subprocess
+import sys
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rydpacket
 from rydpacket import (
     ManifoldSpec,
     PulseSpec,
+    SPECTRUM_MODES,
     SimulationState,
     core_rabi_dft,
     detunings,
@@ -21,8 +28,9 @@ from rydpacket import (
     two_level_oracle,
     validate_pulse,
 )
+from rydpacket import pulse as pulse_mod
 from rydpacket.constants import LN2
-from rydpacket.pulse import pulse_propagator
+from rydpacket.pulse import _solve_pulse, pulse_propagator, solve_ivp
 
 # frozen reference values, nbar = 180, d = 8
 CORE_DFT_UNIT = 2.817534145809115         # Omega~_0 for Omega_peak = 1
@@ -40,6 +48,17 @@ def test_pulse_spec_validation():
         PulseSpec(fwhm=0.0, peak_rabi=1.0)
     with pytest.raises(ValueError):
         PulseSpec(fwhm=1.0, peak_rabi=1.0, target="x")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("fwhm", math.nan), ("fwhm", math.inf), ("peak_rabi", math.nan),
+    ("carrier_detuning", -math.inf), ("phase", math.nan), ("center_time", math.inf),
+])
+def test_pulse_spec_rejects_non_finite(field, value):
+    # a non-finite field used to hang integrate_pulse, or (center_time) return an
+    # unchanged state at clock inf
+    with pytest.raises(ValueError, match=field.replace("fwhm", "FWHM")):
+        PulseSpec(**{"fwhm": 1.0, "peak_rabi": 1.0, field: value})
 
 
 def test_envelope_shape():
@@ -260,3 +279,110 @@ def test_pulse_propagator_is_cached_unitary_and_shape_only():
                       phase=1.1, target="e")
     assert pulse_propagator(spec, moved) is U0
     assert pulse_propagator(spec, pulse, mode="taylor1") is not U0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    d=st.integers(2, 8),
+    mode=st.sampled_from(SPECTRUM_MODES),
+    target=st.sampled_from(["g", "e"]),
+    center_kepler=st.floats(0.0, 20.0),
+    phase=st.floats(-10.0, 10.0),
+    # the oracle solves detuned pulses only; a tiny step count would underflow to zero detuning
+    detuning_steps=st.floats(-2.0, 2.0).filter(lambda x: abs(x) >= 1e-3),
+    area_factor=st.floats(0.3, 1.2),
+    dense=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_ivp_matches_scipy_rk45(
+        d, mode, target, center_kepler, phase, detuning_steps, area_factor, dense, seed):
+    # the in-package stepper takes scipy's RK45 steps and arithmetic, so on the
+    # package's own right-hand sides it reproduces scipy step for step
+    spec = ManifoldSpec(nbar=180, d=d)
+    ts = time_scales(spec)
+    fwhm = 0.25 * LN2 * ts.t_kepler / d
+    pulse = PulseSpec(fwhm=fwhm, peak_rabi=area_factor * pi_pulse_peak_rabi(spec, fwhm),
+                      carrier_detuning=detuning_steps * 2.0 * math.pi / ts.t_kepler,
+                      phase=phase, center_time=center_kepler * ts.t_kepler, target=target)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=d + 2) + 1j * rng.normal(size=d + 2)
+    v /= np.linalg.norm(v)
+    calls = []
+
+    def capture(fun, t_span, y0, **kwargs):
+        calls.append((fun, t_span, y0, kwargs))
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pulse_mod, "solve_ivp", capture)
+        mp.setattr(pulse_mod, "_PROPAGATORS", OrderedDict())     # force a fresh U0 solve
+        integrate_pulse(SimulationState(spec=spec, b_energy=v[2:], b_g=v[0], b_e=v[1],
+                                        t=pulse.t_start), pulse, mode=mode)
+        pulse_propagator(spec, pulse, mode)
+        two_level_oracle(v[0], v[2], pulse, core_rabi_dft(spec, pulse.peak_rabi))
+    assert len(calls) == 3
+
+    for fun, t_span, y0, kwargs in calls:
+        kwargs = dict(kwargs, dense_output=dense)
+        got = solve_ivp(fun, t_span, y0, **kwargs)
+        ref = scipy.integrate.solve_ivp(fun, t_span, y0, method="RK45", **kwargs)
+        assert got.success and ref.success
+        np.testing.assert_array_equal(got.t, ref.t)
+        assert got.nfev == ref.nfev
+        assert np.max(np.abs(got.y - ref.y)) <= 1e-14
+        if dense:
+            t_eval = np.linspace(*t_span, 37)
+            assert np.max(np.abs(got.sol(t_eval) - ref.sol(t_eval))) <= 1e-14
+            # at an accepted step time both take the earlier step's interpolant;
+            # the later one would differ in rounding only, so compare exactly
+            np.testing.assert_array_equal(got.sol(got.t[1:-1:7]), ref.sol(got.t[1:-1:7]))
+        else:
+            assert got.sol is None
+
+
+def test_solve_ivp_stops_on_nan_rhs():
+    # scipy's RK45 loops forever when the first derivative is NaN (its
+    # initial step is NaN); this stepper fails at once
+    calls = []
+
+    def nan_rhs(t, y):
+        calls.append(t)
+        assert len(calls) < 10_000, "the stepper does not terminate"
+        return np.full_like(y, np.nan)
+
+    y0 = np.ones(3, dtype=complex)
+    sol = solve_ivp(nan_rhs, (0.0, 1.0), y0, rtol=1e-10, atol=1e-12, max_step=0.01)
+    assert not sol.success
+    assert "step size" in sol.message
+    assert sol.t.tolist() == [0.0]
+    pulse = PulseSpec(fwhm=0.1, peak_rabi=1.0)
+    with pytest.raises(RuntimeError, match="pulse integration failed"):
+        _solve_pulse(nan_rhs, pulse, np.array([1.0]), y0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("rhs", [
+    lambda t, y: np.zeros_like(y),               # zero derivative: smallest first step, no error
+    lambda t, y: -1e-9 * y,                      # first step clipped to the interval
+    lambda t, y: np.full_like(y, np.nan) if t > 0.5 else -y,   # fails half way
+], ids=["zero", "slow", "nan_midway"])
+def test_solve_ivp_matches_scipy_rk45_on_edge_cases(rhs):
+    y0 = np.ones(3, dtype=complex)
+    kwargs = dict(rtol=1e-10, atol=1e-12, max_step=0.01)
+    got = solve_ivp(rhs, (0.0, 1.0), y0, **kwargs)
+    ref = scipy.integrate.solve_ivp(rhs, (0.0, 1.0), y0, method="RK45", **kwargs)
+    assert (got.success, got.message) == (ref.success, ref.message)
+    np.testing.assert_array_equal(got.t, ref.t)
+    assert got.nfev == ref.nfev
+    np.testing.assert_array_equal(got.y, ref.y)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(rydpacket.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, rydpacket, rydpacket.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
