@@ -3,92 +3,19 @@ shaped-pulse dynamics, and a pulse-schedule compiler for unitaries.
 
 All physics is in Hartree atomic units; SI appears only at reporting
 boundaries.  Start with the scenario registry (`list_scenarios`,
-`run_scenario`) or the `rydpacket` CLI.
+`run_scenario`) or the `rydpacket` CLI.  The package root binds only
+the entry points the README uses; every other name is imported from
+the module that defines it (`rydpacket.manifold`, `.basis`,
+`.evolution`, `.pulse`, `.gates`, `.scenarios`, `.cli`).
 """
 
 from importlib.metadata import PackageNotFoundError, version
 
-from .basis import (
-    AmplitudeVector,
-    energy_delta,
-    energy_to_packet_matrix,
-    iqft_packet_to_energy,
-    packet_amplitudes_at,
-    packet_delta,
-    packet_to_energy_matrix,
-    qft_energy_to_packet,
-    uniform_energy,
-    uniform_packet,
-)
-from .constants import AU_TIME_NS, AU_TIME_S, S_TO_AU, TIME_UNITS
-from .evolution import (
-    EvolutionKernel,
-    TraceRecord,
-    apply_kernel,
-    autocorrelation,
-    evolution_kernel,
-    find_autocorr_peak,
-    propagate_free,
-    revival_scan,
-    shift_fidelity,
-    shift_gate,
-    shift_matrix,
-)
-from .gates import (
-    DEFAULT_GATE_FWHM_FACTOR,
-    GateSchedule,
-    ManifoldPiPulse,
-    ProgramError,
-    StoragePulse,
-    TwoLevelOp,
-    Wait,
-    compile_unitary,
-    compose_ops,
-    decompose_unitary,
-    merge_same_pair,
-    probe_states,
-    process_fidelity,
-    random_two_level_unitary,
-    run_program,
-    schedule_from_json,
-    schedule_to_json,
-    zyz_angles,
-)
-from .manifold import (
-    SPECTRUM_MODES,
-    ManifoldSpec,
-    TimeScales,
-    detunings,
-    exact_detunings,
-    taylor_detunings,
-    time_scales,
-)
-from .pulse import (
-    PulseReport,
-    PulseSpec,
-    RabiProfile,
-    SimulationState,
-    core_rabi_dft,
-    integrate_pulse,
-    pi_pulse_peak_rabi,
-    rabi_profile,
-    two_level_oracle,
-    validate_pulse,
-)
-from .scenarios import (
-    REGISTRY,
-    CheckResult,
-    ConfigError,
-    Scenario,
-    ScenarioError,
-    ScenarioResult,
-    describe,
-    list_scenarios,
-    load_unitary_file,
-    parse_quantity,
-    run_scenario,
-    unitary_from_obj,
-)
+from .evolution import shift_matrix
+from .gates import Wait, compile_unitary, process_fidelity, run_program
+from .manifold import ManifoldSpec, time_scales
+from .pulse import SimulationState
+from .scenarios import list_scenarios, run_scenario
 
 try:
     __version__ = version("artifact")
@@ -96,76 +23,14 @@ except PackageNotFoundError:
     __version__ = "0.0.0"
 
 __all__ = [
-    "AU_TIME_NS",
-    "AU_TIME_S",
-    "AmplitudeVector",
-    "CheckResult",
-    "ConfigError",
-    "DEFAULT_GATE_FWHM_FACTOR",
-    "EvolutionKernel",
-    "GateSchedule",
-    "ManifoldPiPulse",
     "ManifoldSpec",
-    "ProgramError",
-    "PulseReport",
-    "PulseSpec",
-    "RabiProfile",
-    "REGISTRY",
-    "S_TO_AU",
-    "SPECTRUM_MODES",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioResult",
     "SimulationState",
-    "StoragePulse",
-    "TIME_UNITS",
-    "TimeScales",
-    "TraceRecord",
-    "TwoLevelOp",
     "Wait",
-    "apply_kernel",
-    "autocorrelation",
     "compile_unitary",
-    "compose_ops",
-    "core_rabi_dft",
-    "decompose_unitary",
-    "describe",
-    "detunings",
-    "energy_delta",
-    "energy_to_packet_matrix",
-    "evolution_kernel",
-    "exact_detunings",
-    "find_autocorr_peak",
-    "integrate_pulse",
-    "iqft_packet_to_energy",
     "list_scenarios",
-    "load_unitary_file",
-    "merge_same_pair",
-    "packet_amplitudes_at",
-    "packet_delta",
-    "packet_to_energy_matrix",
-    "parse_quantity",
-    "pi_pulse_peak_rabi",
-    "probe_states",
     "process_fidelity",
-    "propagate_free",
-    "qft_energy_to_packet",
-    "rabi_profile",
-    "random_two_level_unitary",
-    "revival_scan",
     "run_program",
     "run_scenario",
-    "schedule_from_json",
-    "schedule_to_json",
-    "shift_fidelity",
-    "shift_gate",
     "shift_matrix",
-    "taylor_detunings",
     "time_scales",
-    "two_level_oracle",
-    "uniform_energy",
-    "uniform_packet",
-    "unitary_from_obj",
-    "validate_pulse",
-    "zyz_angles",
 ]

@@ -113,7 +113,7 @@ class TraceRecord:
     autocorr: np.ndarray | None = None
     pop_g: np.ndarray | None = None
     pop_e: np.ndarray | None = None
-    norm_error: np.ndarray | None = None
+    norm_error: np.ndarray | None = None      # |norm(t) - 1|
 
     def columns(self) -> dict[str, np.ndarray]:
         cols: dict[str, np.ndarray] = {

@@ -17,9 +17,12 @@ pulse center times.  Each storage pi pulse contributes a factor i to
 the transferred amplitude; four of them make -1, which the compiler
 absorbs by realizing -u2 between the storages.
 
-Schedules carry relative timing only (Wait entries); a pulse occupies
-the support [t, t + 8 sigma] starting at the clock position where it
-appears, centered at t + 4 sigma.
+Schedules carry relative timing only (Wait entries); a manifold pulse
+occupies its envelope support starting at the clock position t where
+it appears, centred at t + h and ending at (t + h) + h, with h the
+support half-width (PulseSpec.half_width).  GateSchedule.clock is the
+one walk that places the pulses; duration and schedule_operator both
+read it.
 
 schedule_operator folds a whole schedule into one (d+2) x (d+2)
 operator over (g, e, levels), and run_program and process_fidelity
@@ -48,7 +51,6 @@ from .basis import energy_to_packet_matrix, packet_amplitudes_at
 from .constants import AU_TIME_NS, LN2
 from .manifold import ManifoldSpec, detunings, time_scales
 from .pulse import (
-    TRUNCATION_SIGMAS,
     PulseSpec,
     SimulationState,
     integrate_pulse,
@@ -280,15 +282,25 @@ class GateSchedule:
     def spec(self) -> ManifoldSpec:
         return ManifoldSpec(nbar=self.nbar, d=self.d)
 
-    def duration(self) -> float:
-        sigma8 = 8.0 * PulseSpec(fwhm=self.pulse_fwhm, peak_rabi=1.0).sigma
+    def clock(self) -> tuple[list[float], float]:
+        """The schedule's clock, starting at 0: the centre time of each
+        manifold pulse in order, and the time after the last primitive.
+        A Wait advances the clock by its duration; a manifold pulse is
+        centred one support half-width after the clock and ends one
+        half-width after its centre."""
+        half = PulseSpec(fwhm=self.pulse_fwhm, peak_rabi=1.0).half_width
+        centers: list[float] = []
         t = 0.0
         for p in self.primitives:
             if isinstance(p, Wait):
                 t += p.duration
             elif isinstance(p, ManifoldPiPulse):
-                t += sigma8
-        return t
+                centers.append(t + half)
+                t = centers[-1] + half
+        return centers, t
+
+    def duration(self) -> float:
+        return self.clock()[1]
 
     def manifold_pulse_count(self) -> int:
         return sum(isinstance(p, ManifoldPiPulse) for p in self.primitives)
@@ -406,23 +418,23 @@ class _Compiler:
         self.spec = spec
         self.step = time_scales(spec).t_kepler / spec.d
         self.fwhm = pulse_fwhm
-        self.sigma = PulseSpec(fwhm=pulse_fwhm, peak_rabi=1.0).sigma
+        self.half = PulseSpec(fwhm=pulse_fwhm, peak_rabi=1.0).half_width
         self.t = 0.0                      # clock at end of emitted primitives
         self.prims: list = []
 
     def _pulse_at(self, center: float, slot: int, target: str) -> None:
-        start = center - 4.0 * self.sigma
+        start = center - self.half
         if start < self.t - 1e-6 * self.step:
             raise RuntimeError("pulse scheduling went backwards")
         self.prims.append(Wait(duration=max(start - self.t, 0.0)))
         self.prims.append(ManifoldPiPulse(slot=slot, target=target))
-        self.t = center + 4.0 * self.sigma
+        self.t = center + self.half
 
     def add_fragment(self, op: TwoLevelOp) -> None:
         """Emit the store / rotate / restore protocol for one factor."""
-        c1 = next_core_crossing(self.spec, op.k, self.t + 4.0 * self.sigma)
+        c1 = next_core_crossing(self.spec, op.k, self.t + self.half)
         self._pulse_at(c1, op.k, "g")
-        c2 = next_core_crossing(self.spec, op.k2, self.t + 4.0 * self.sigma)
+        c2 = next_core_crossing(self.spec, op.k2, self.t + self.half)
         self._pulse_at(c2, op.k2, "e")
 
         # four i factors from the pi pulses make -1: realize -u2 in storage
@@ -436,9 +448,9 @@ class _Compiler:
             self.prims.append(StoragePulse(phase_g=alpha - beta / 2.0,
                                            phase_e=alpha + beta / 2.0))
 
-        c3 = next_core_crossing(self.spec, op.k2, self.t + 4.0 * self.sigma)
+        c3 = next_core_crossing(self.spec, op.k2, self.t + self.half)
         self._pulse_at(c3, op.k2, "e")
-        c4 = next_core_crossing(self.spec, op.k, self.t + 4.0 * self.sigma)
+        c4 = next_core_crossing(self.spec, op.k, self.t + self.half)
         self._pulse_at(c4, op.k, "g")
 
     def pad_to_steps(self, multiple: int) -> None:
@@ -528,11 +540,13 @@ def schedule_operator(
 
     M is (d+2) x (d+2) over the slow amplitudes (b_g, b_e, b_energy)
     with the clock starting at 0; t_end is the clock after the last
-    primitive.  A Wait only advances the clock, a StoragePulse acts on
-    rows (g, e), and a ManifoldPiPulse acts on (its storage, levels):
-    pulses='full' as the conjugated cached propagator of the pulse
-    shape (pulse.pulse_propagator), pulses='ideal' as the instantaneous
-    perfect swap of storage and core slot at the pulse centre.
+    primitive.  Pulse centres and t_end come from schedule.clock(), so
+    t_end is schedule.duration().  A Wait only advances the clock, a
+    StoragePulse acts on rows (g, e), and a ManifoldPiPulse acts on
+    (its storage, levels): pulses='full' as the conjugated cached
+    propagator of the pulse shape (pulse.pulse_propagator),
+    pulses='ideal' as the instantaneous perfect swap of storage and
+    core slot at the pulse centre.
     """
     if pulses not in ("full", "ideal"):
         raise ValueError(f"pulses must be 'full' or 'ideal', got {pulses!r}")
@@ -541,19 +555,17 @@ def schedule_operator(
     w = detunings(spec, mode)
     shape = PulseSpec(fwhm=schedule.pulse_fwhm, peak_rabi=schedule.peak_rabi)
     deltas = w + shape.carrier_detuning
-    half = TRUNCATION_SIGMAS * shape.sigma
+    centers, t_end = schedule.clock()
+    centers = iter(centers)
     core_row = energy_to_packet_matrix(d)[spec.slot_index(0)]
     rows = {"g": np.r_[0, 2:d + 2], "e": np.r_[1, 2:d + 2]}   # (storage, levels) of M
     U0 = None
     M = np.eye(d + 2, dtype=complex)
-    t = 0.0
     for prim in schedule.primitives:
-        if isinstance(prim, Wait):
-            t += prim.duration
-        elif isinstance(prim, StoragePulse):
+        if isinstance(prim, StoragePulse):
             M[:2] = prim.matrix() @ M[:2]
         elif isinstance(prim, ManifoldPiPulse):
-            center = t + half
+            center = next(centers)
             ph = np.exp(1j * prim.phase)
             if pulses == "ideal":
                 # b' = b + r^H (i ph* s - r b), s' = i ph r b, with r b the
@@ -570,10 +582,9 @@ def schedule_operator(
                 q = np.concatenate(([1.0], ph * np.exp(-1j * deltas * center)))
                 P = q.conj()[:, None] * U0 * q[None, :]
             M[rows[prim.target]] = P @ M[rows[prim.target]]
-            t = center + half
-        else:
+        elif not isinstance(prim, Wait):
             raise TypeError(f"unknown primitive {prim!r}")
-    return M, t
+    return M, t_end
 
 
 class ProgramError(ValueError):

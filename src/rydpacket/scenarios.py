@@ -25,9 +25,14 @@ import numpy as np
 
 from .basis import (
     AmplitudeVector,
+    energy_delta,
     energy_to_packet_matrix,
+    iqft_packet_to_energy,
     packet_amplitudes_at,
+    packet_delta,
     packet_to_energy_matrix,
+    uniform_energy,
+    uniform_packet,
 )
 from .constants import AU_TIME_NS, LN2, TIME_UNITS
 from .evolution import (
@@ -829,10 +834,9 @@ def _parse_initial_state(value, spec: ManifoldSpec) -> np.ndarray:
         raise ConfigError(f"{where}: required")
     if isinstance(value, str):
         if value == "uniform_packet":
-            bt = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
-            return packet_to_energy_matrix(d) @ bt
+            return iqft_packet_to_energy(uniform_packet(spec)).values
         if value == "uniform_energy":
-            return np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+            return uniform_energy(spec).values
         raise ConfigError(
             f"{where}: unknown state {value!r}; use uniform_packet, "
             "uniform_energy, or a mapping"
@@ -842,14 +846,12 @@ def _parse_initial_state(value, spec: ManifoldSpec) -> np.ndarray:
         k = _require_int(m["packet"], f"{where}.packet")
         if k not in spec.k_values:
             raise ConfigError(f"{where}.packet: slot {k} not in {list(spec.k_values)}")
-        return packet_to_energy_matrix(d)[:, spec.slot_index(k)].copy()
+        return iqft_packet_to_energy(packet_delta(spec, k)).values
     if set(m) == {"energy"}:
         j = _require_int(m["energy"], f"{where}.energy")
         if j not in spec.j_values:
             raise ConfigError(f"{where}.energy: level {j} not in {list(spec.j_values)}")
-        v = np.zeros(d, dtype=complex)
-        v[spec.slot_index(j)] = 1.0
-        return v
+        return energy_delta(spec, j).values
     if set(m) == {"amplitudes"}:
         sub = _require_mapping(m["amplitudes"], f"{where}.amplitudes")
         _check_keys(sub, {"basis", "values"}, f"{where}.amplitudes")
@@ -868,9 +870,7 @@ def _parse_initial_state(value, spec: ManifoldSpec) -> np.ndarray:
             ) from None
         except ValueError as e:
             raise ConfigError(f"{where}.amplitudes: {e}") from None
-        if basis == "packet":
-            return packet_to_energy_matrix(d) @ amp.values
-        return amp.values.copy()
+        return (iqft_packet_to_energy(amp) if basis == "packet" else amp).values
     raise ConfigError(
         f"{where}: expected one of the keys packet, energy, amplitudes"
     )
@@ -896,21 +896,21 @@ def _parse_pulse_event(sub: dict, spec: ManifoldSpec, clock: float, where: str) 
     target = sub.get("target", "g")
     if target not in ("g", "e"):
         raise ConfigError(f"{where}.target: 'g' or 'e'")
-    sigma4 = 4.0 * PulseSpec(fwhm=fwhm, peak_rabi=1.0).sigma
+    half = PulseSpec(fwhm=fwhm, peak_rabi=1.0).half_width
     if "center" in sub and "slot" in sub:
         raise ConfigError(f"{where}: give center or slot, not both")
     if "center" in sub:
         center = parse_quantity(sub["center"], f"{where}.center", spec)
-        if center - sigma4 < clock - 1e-9:
+        if center - half < clock - 1e-9:
             raise ConfigError(
                 f"{where}.center: pulse support starts before the clock "
-                f"({center - sigma4:.6g} < {clock:.6g})"
+                f"({center - half:.6g} < {clock:.6g})"
             )
     else:
         slot = _require_int(sub.get("slot", 0), f"{where}.slot")
         if slot not in spec.k_values:
             raise ConfigError(f"{where}.slot: {slot} not in {list(spec.k_values)}")
-        center = next_core_crossing(spec, slot, clock + sigma4)
+        center = next_core_crossing(spec, slot, clock + half)
     return PulseSpec(fwhm=fwhm, peak_rabi=peak, carrier_detuning=detuning,
                      phase=phase, center_time=center, target=target)
 

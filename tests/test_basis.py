@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydpacket import (
+from rydpacket import ManifoldSpec, time_scales
+from rydpacket.basis import (
     AmplitudeVector,
-    ManifoldSpec,
     energy_delta,
     energy_to_packet_matrix,
     iqft_packet_to_energy,
@@ -17,7 +17,6 @@ from rydpacket import (
     packet_delta,
     packet_to_energy_matrix,
     qft_energy_to_packet,
-    time_scales,
     uniform_energy,
     uniform_packet,
 )

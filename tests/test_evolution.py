@@ -3,21 +3,18 @@
 import numpy as np
 import pytest
 
-from rydpacket import (
-    ManifoldSpec,
+from rydpacket import ManifoldSpec, shift_matrix, time_scales
+from rydpacket.basis import energy_to_packet_matrix, packet_to_energy_matrix
+from rydpacket.evolution import (
     TraceRecord,
     apply_kernel,
     autocorrelation,
-    energy_to_packet_matrix,
     evolution_kernel,
     find_autocorr_peak,
-    packet_to_energy_matrix,
     propagate_free,
     revival_scan,
     shift_fidelity,
     shift_gate,
-    shift_matrix,
-    time_scales,
 )
 
 # frozen reference values, nbar = 180, d = 8, exact spectrum

@@ -10,36 +10,35 @@ from scipy.linalg import expm
 from scipy.stats import unitary_group
 
 from rydpacket import (
-    GateSchedule,
-    ManifoldPiPulse,
     ManifoldSpec,
-    ProgramError,
-    PulseSpec,
     SimulationState,
-    StoragePulse,
-    TwoLevelOp,
     Wait,
     compile_unitary,
-    compose_ops,
-    decompose_unitary,
-    detunings,
-    energy_to_packet_matrix,
-    integrate_pulse,
-    merge_same_pair,
-    packet_to_energy_matrix,
-    pi_pulse_peak_rabi,
-    probe_states,
     process_fidelity,
-    random_two_level_unitary,
     run_program,
-    schedule_from_json,
-    schedule_to_json,
     shift_matrix,
     time_scales,
+)
+from rydpacket.basis import energy_to_packet_matrix, packet_to_energy_matrix
+from rydpacket.constants import LN2
+from rydpacket.gates import (
+    GateSchedule,
+    ManifoldPiPulse,
+    ProgramError,
+    StoragePulse,
+    TwoLevelOp,
+    compose_ops,
+    decompose_unitary,
+    merge_same_pair,
+    probe_states,
+    random_two_level_unitary,
+    schedule_from_json,
+    schedule_operator,
+    schedule_to_json,
     zyz_angles,
 )
-from rydpacket.constants import LN2
-from rydpacket.gates import schedule_operator
+from rydpacket.manifold import detunings
+from rydpacket.pulse import PulseSpec, integrate_pulse, pi_pulse_peak_rabi
 
 # frozen reference values (nbar = 180, exact spectrum, full pulse model)
 WAIT_ONE_PERIOD_FID_D8 = 0.9333572219416217    # Wait(t_kepler) vs identity, d = 8
@@ -348,6 +347,16 @@ def test_schedule_operator_matches_per_primitive_loop(pulses):
     assert out.norm() == pytest.approx(ref.norm(), abs=1e-10)
 
 
+def test_schedule_duration_is_the_operator_clock():
+    # duration() and schedule_operator's final clock come from one walk
+    for d in (2, 3, 4, 5, 8):
+        for nbar in (170, 180, 190):
+            spec = ManifoldSpec(nbar=nbar, d=d)
+            for seed in range(5):
+                sched = compile_unitary(_haar(d, seed), spec)
+                assert sched.duration() == schedule_operator(sched, pulses="ideal")[1]
+
+
 def test_padding_cost_grows_with_orbits():
     spec = _spec(4)
     ts = time_scales(spec)
@@ -383,8 +392,6 @@ def test_probe_states_properties():
     for i in range(8):
         np.testing.assert_array_equal(probes[i], np.eye(8)[i])
     # every probe has flat level populations
-    from rydpacket import packet_to_energy_matrix
-
     for p in probes:
         b = packet_to_energy_matrix(8) @ p
         np.testing.assert_allclose(np.abs(b) ** 2, 1.0 / 8.0, atol=1e-12)
@@ -506,6 +513,19 @@ def test_run_program_trace_joins_segments_once():
     assert trace.t_au[-1] == pytest.approx(
         program[2].t_end + program[3].duration() + program[4].duration, rel=1e-15)
     assert np.max(trace.norm_error) <= 1e-8
+
+
+def test_run_program_trace_norm_error_is_drift_from_one():
+    # flight and pulse samples alike record |norm(t) - 1|, here 0.5
+    spec = _spec(4)
+    step = time_scales(spec).t_kepler / spec.d
+    fwhm = 0.25 * LN2 * step
+    pulse = PulseSpec(fwhm=fwhm, peak_rabi=pi_pulse_peak_rabi(spec, fwhm),
+                      center_time=2.0 * step)
+    state = _packet_state(spec, np.full(4, 0.25, dtype=complex))
+    _, trace = run_program(state, [Wait(step), pulse, Wait(step)], n_trace=5)
+    assert len(trace.t_au) == 4 * 5 - 3
+    np.testing.assert_allclose(trace.norm_error, 0.5, rtol=0, atol=1e-8)
 
 
 def test_run_program_rejects_bad_items():

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from rydpacket import (
+from rydpacket import ManifoldSpec, time_scales
+from rydpacket.manifold import (
     SPECTRUM_MODES,
-    ManifoldSpec,
     detunings,
     exact_detunings,
     taylor_detunings,
-    time_scales,
 )
 
 NBAR = 180

@@ -13,24 +13,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rydpacket
-from rydpacket import (
-    ManifoldSpec,
+import rydpacket.pulse as pulse_mod
+from rydpacket import ManifoldSpec, SimulationState, time_scales
+from rydpacket.basis import packet_to_energy_matrix
+from rydpacket.constants import LN2
+from rydpacket.manifold import SPECTRUM_MODES, detunings
+from rydpacket.pulse import (
     PulseSpec,
-    SPECTRUM_MODES,
-    SimulationState,
+    _solve_pulse,
     core_rabi_dft,
-    detunings,
     integrate_pulse,
-    packet_to_energy_matrix,
     pi_pulse_peak_rabi,
+    pulse_propagator,
     rabi_profile,
-    time_scales,
+    solve_ivp,
     two_level_oracle,
     validate_pulse,
 )
-from rydpacket import pulse as pulse_mod
-from rydpacket.constants import LN2
-from rydpacket.pulse import _solve_pulse, pulse_propagator, solve_ivp
 
 # frozen reference values, nbar = 180, d = 8
 CORE_DFT_UNIT = 2.817534145809115         # Omega~_0 for Omega_peak = 1
@@ -127,6 +126,16 @@ def test_two_level_oracle_detuned():
     g1, c1 = two_level_oracle(1.0, 0.0, far, omega0)
     assert abs(g1) ** 2 + abs(c1) ** 2 == pytest.approx(1.0, abs=1e-8)
     assert abs(c1) ** 2 < 0.05
+
+
+def test_two_level_oracle_detuned_fails_loudly():
+    # a NaN coupling: the resonant closed form returns NaN, the detuned
+    # solve raises instead of handing back the input amplitudes
+    resonant = PulseSpec(fwhm=1.0, peak_rabi=1.0)
+    assert all(map(np.isnan, two_level_oracle(1.0, 0.0, resonant, math.nan)))
+    detuned = PulseSpec(fwhm=1.0, peak_rabi=1.0, carrier_detuning=3.0)
+    with pytest.raises(RuntimeError, match="pulse integration failed"):
+        two_level_oracle(1.0, 0.0, detuned, math.nan)
 
 
 def test_full_model_approaches_oracle_for_short_pulses():

@@ -8,22 +8,21 @@ import pytest
 import yaml
 from scipy.stats import unitary_group
 
-from rydpacket import (
-    ConfigError,
-    ManifoldSpec,
-    PulseSpec,
-    ScenarioError,
-    describe,
-    list_scenarios,
-    parse_quantity,
-    random_two_level_unitary,
-    run_scenario,
-    time_scales,
-    unitary_from_obj,
-)
+from rydpacket import ManifoldSpec, list_scenarios, run_scenario, time_scales
+from rydpacket.basis import packet_to_energy_matrix
 from rydpacket.cli import main
 from rydpacket.constants import LN2, TIME_UNITS
-from rydpacket.scenarios import haar_unitary
+from rydpacket.gates import random_two_level_unitary
+from rydpacket.pulse import PulseSpec
+from rydpacket.scenarios import (
+    ConfigError,
+    ScenarioError,
+    _parse_initial_state,
+    describe,
+    haar_unitary,
+    parse_quantity,
+    unitary_from_obj,
+)
 
 CANONICAL = [
     "time_scales",
@@ -183,6 +182,29 @@ def test_declarative_initial_state_forms():
                 {"amplitudes": {"basis": "x", "values": amp["values"]}}]:
         with pytest.raises(ConfigError):
             run_scenario(_decl(initial_state=bad, events=[]))
+
+
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_declarative_initial_states_are_the_hand_built_vectors(d):
+    # every form gives the vector the runner once built by hand, bit for bit;
+    # a packet delta is the DFT column up to the sign of its zero imaginary
+    # parts (the product writes +0 where the matrix column holds -0)
+    spec = ManifoldSpec(nbar=180, d=d)
+    P = packet_to_energy_matrix(d)
+    flat = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+    rng = np.random.default_rng(d)
+    z = rng.normal(size=d) + 1j * rng.normal(size=d)
+    z /= np.linalg.norm(z)
+    pairs = [[x.real, x.imag] for x in z]
+    cases = [("uniform_packet", P @ flat), ("uniform_energy", flat),
+             ({"amplitudes": {"basis": "energy", "values": pairs}}, z),
+             ({"amplitudes": {"basis": "packet", "values": pairs}}, P @ z)]
+    cases += [({"energy": int(j)}, np.eye(d, dtype=complex)[i])
+              for i, j in enumerate(spec.j_values)]
+    for form, want in cases:
+        assert _parse_initial_state(form, spec).tobytes() == want.tobytes(), form
+    for i, k in enumerate(spec.k_values):
+        np.testing.assert_array_equal(_parse_initial_state({"packet": int(k)}, spec), P[:, i])
 
 
 def test_declarative_shift_moves_packet():
