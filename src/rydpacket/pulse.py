@@ -41,10 +41,13 @@ gates.run_program drives single pulses (PulseSpec items) through
 integrate_pulse and compiled schedules through the cached U0.
 
 Every ODE here (integrate_pulse, pulse_propagator and the detuned
-two_level_oracle) goes through one stepper, solve_ivp: the
-Dormand-Prince 5(4) pair with Shampine's dense output, written to take
-the same steps with the same arithmetic as scipy.integrate's RK45, so
-scipy is not needed at run time.
+two_level_oracle) is one storage <-> levels Coupling, and goes through
+one stepper, solve_ivp: the Dormand-Prince 5(4) pair with Shampine's
+dense output and scipy.integrate's RK45 step controller, so it takes
+scipy's steps and scipy is not needed at run time.  The ODE is linear,
+so each step is a matrix; the stepper builds the matrices of a batch
+of guessed steps in a few array operations and keeps the steps that
+the replayed controller agrees with.
 """
 
 import math
@@ -225,16 +228,8 @@ def two_level_oracle(
         )
 
     d0 = pulse.carrier_detuning
-
-    def rhs(t, y):
-        f = pulse.envelope(t)
-        coep = 0.5j * f * omega_tilde0
-        return np.array([
-            coep * np.exp(1j * (pulse.phase - d0 * t)) * y[1],
-            coep * np.exp(1j * (d0 * t - pulse.phase)) * y[0],
-        ])
-
-    sol = _solve_pulse(rhs, pulse, np.array([d0]), np.array([b_g0, bt0_0], dtype=complex))
+    sol = _solve_pulse(pulse, np.array([omega_tilde0]), np.array([d0]),
+                       np.array([b_g0, bt0_0], dtype=complex))
     return complex(sol.y[0, -1]), complex(sol.y[1, -1])
 
 
@@ -294,9 +289,10 @@ def integrate_pulse(
     (packet populations on the slot grid of each sample time).
 
     Integration uses the package's Dormand-Prince 5(4) stepper
-    (solve_ivp, the steps of scipy's RK45) with rtol 1e-10, atol 1e-12
-    and a max step bounded by both the envelope and the fastest
-    detuning phase; norm drift beyond 1e-8 raises.
+    (solve_ivp: scipy RK45's steps, each applied as a step matrix) with
+    rtol 1e-10, atol 1e-12 and a max step bounded by both the envelope
+    and the fastest detuning phase; the trace samples its dense output.
+    A failed solve or norm drift beyond 1e-8 raises RuntimeError.
     """
     if state.t > pulse.t_start + 1e-9 * pulse.fwhm:
         raise ValueError(
@@ -305,26 +301,10 @@ def integrate_pulse(
     spec = state.spec
     deltas = detunings(spec, mode) + pulse.carrier_detuning
     omega = rabi_profile(spec, pulse.peak_rabi).omega_j
-    ph = np.exp(1j * pulse.phase)
-    i_deltas = 1j * deltas
-    w_in = 0.5j * ph * omega               # levels -> storage
-    w_out = 0.5j * np.conj(ph) * omega     # storage -> levels
-    a, tc = -4.0 * LN2 / pulse.fwhm**2, pulse.center_time
-    n = spec.d + 1
-
     store_g = pulse.target == "g"
-
-    def rhs(t, y):
-        f = math.exp(a * (t - tc) ** 2)
-        e = np.exp(i_deltas * t)
-        dy = np.empty(n, dtype=complex)
-        dy[0] = f * (w_in @ (e.conj() * y[1:]))
-        dy[1:] = w_out * e * (f * y[0])
-        return dy
-
     y0 = np.concatenate(([state.b_g if store_g else state.b_e], state.b_energy))
     norm_in = state.norm()
-    sol = _solve_pulse(rhs, pulse, deltas, y0, dense_output=n_trace > 0)
+    sol = _solve_pulse(pulse, omega, deltas, y0, dense_output=n_trace > 0)
 
     out = state.copy()
     yf = sol.y[:, -1]
@@ -361,33 +341,72 @@ def integrate_pulse(
     return out, trace
 
 
-def _solve_pulse(rhs, pulse: PulseSpec, deltas: np.ndarray, y0: np.ndarray,
+def _solve_pulse(pulse: PulseSpec, omega: np.ndarray, deltas: np.ndarray, y0: np.ndarray,
                  dense_output: bool = False):
-    """RK45 over the pulse support, max step bounded by the envelope and
-    the fastest detuning phase."""
+    """RK45 over the pulse support of the coupling with Rabi frequencies
+    omega on levels detuned by deltas, max step bounded by the envelope
+    and the fastest detuning phase."""
+    ph = np.exp(1j * pulse.phase)
+    coupling = Coupling(rate=-4.0 * LN2 / pulse.fwhm**2, center=pulse.center_time,
+                        w_in=0.5j * ph * omega, w_out=0.5j * np.conj(ph) * omega,
+                        deltas=deltas)
     max_step = min(pulse.fwhm / 50.0, TWO_PI / (10.0 * float(np.max(np.abs(deltas)))))
-    sol = solve_ivp(rhs, (pulse.t_start, pulse.t_end), y0, rtol=1e-10, atol=1e-12,
+    sol = solve_ivp(coupling, (pulse.t_start, pulse.t_end), y0, rtol=1e-10, atol=1e-12,
                     max_step=max_step, dense_output=dense_output)
     if not sol.success:
         raise RuntimeError(f"pulse integration failed: {sol.message}")
     return sol
 
 
+@dataclass(frozen=True)
+class Coupling:
+    """The one ODE family solve_ivp integrates: a storage amplitude y_s
+    coupled to level amplitudes y_L (m of them),
+
+        dy_s/dt = u(t) . y_L,   dy_L/dt = v(t) y_s,
+        u(t) = f(t) w_in e^{-i deltas t},   v(t) = f(t) w_out e^{+i deltas t},
+
+    with the Gaussian envelope f(t) = exp(rate (t - center)^2).
+    """
+
+    rate: float
+    center: float
+    w_in: np.ndarray      # levels -> storage weights, shape (m,)
+    w_out: np.ndarray     # storage -> levels weights, shape (m,)
+    deltas: np.ndarray    # level detunings, shape (m,)
+
+
+def _couplings(cp: Coupling, t):
+    """u(t) and v(t) at an array of times, each shaped t.shape + (m,)."""
+    f = np.exp(cp.rate * (t - cp.center) ** 2)[..., None]
+    e = np.exp(1j * cp.deltas * t[..., None])
+    return f * cp.w_in * e.conj(), f * cp.w_out * e
+
+
+def _derivative(cp: Coupling, t: float, y: np.ndarray) -> np.ndarray:
+    """dy/dt at one time, for a state vector or matrix."""
+    u, v = _couplings(cp, np.array(t))
+    return np.concatenate(((u @ y[1:])[None], np.multiply.outer(v, y[0])))
+
+
 # Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)) with
 # Shampine's quartic dense output (Math. Comp. 46, 135 (1986)): the
-# tableau, step controller and interpolant of scipy.integrate's RK45.  The
-# stage weights are complex, so np.dot need not convert them on every call.
-_C = [0, 1/5, 3/10, 4/5, 8/9, 1]
+# tableau, step controller and interpolant of scipy.integrate's RK45.
+# The first-same-as-last stage is the seventh row of the tableau (its
+# weights are the solution weights), so a step has seven stages at
+# times t + c_i h, the last two both at t + h.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1, 1])
 _A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-], dtype=complex)
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84], dtype=complex)
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40], dtype=complex)
+    [0, 0, 0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0, 0, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656, 0, 0],
+    [35/384, 0, 500/1113, 125/192, -2187/6784, 11/84, 0],
+])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_W = np.stack([_A[6], _E])      # solution and error weights of the stages
 _P = np.array([
     [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
     [0, 0, 0, 0],
@@ -397,25 +416,39 @@ _P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ])
-_STAGES = [(c, a[:s]) for s, (c, a) in enumerate(zip(_C, _A)) if s > 0]
+# Stage i's storage derivative starts from p_i = u_i . y_L, coordinate
+# min(i + 1, 6) of z = (y_s, p_0, ..., p_5) (u_6 = u_5); its storage
+# value starts from y_s, coordinate 0.
+_KAPPA0 = np.eye(7, k=1)
+_KAPPA0[6, 6] = 1.0
+_SIGMA0 = np.zeros((7, 7))
+_SIGMA0[:, 0] = 1.0
+_A_KAPPA0 = _A @ _KAPPA0
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5        # -1 / (order of the error estimate + 1)
+_BATCH_START, _BATCH_MIN, _BATCH_MAX = 16, 2, 256    # steps per batch
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
 def _rms(x: np.ndarray) -> float:
-    """RMS norm of a complex vector, summed as numpy.linalg.norm sums it."""
+    """RMS norm of a complex array, summed as numpy.linalg.norm sums it."""
+    x = x.ravel()
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol) -> float:
+def _initial_step(cp, t0, y0, t_bound, max_step, rtol, atol) -> float:
     """First step size from the local derivative scale (Hairer, Norsett &
-    Wanner, Solving ODEs I, Sec. II.4), as scipy's select_initial_step."""
+    Wanner, Solving ODEs I, Sec. II.4), as scipy's select_initial_step.
+    An overflowed or NaN derivative gives 0 or NaN."""
     interval = t_bound - t0
     scale = atol + np.abs(y0) * rtol
+    f0 = _derivative(cp, t0, y0)
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    if not h0 > 0:
+        return h0
+    d2 = _rms((_derivative(cp, t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -423,70 +456,157 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol) -> float:
     return min(100 * h0, h1, interval, max_step)
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, max_step, dense_output=False):
-    """Integrate dy/dt = fun(t, y) over t_span = (t0, t1), t1 > t0, with RK45.
+def _start_step(h_abs: float, t: float, max_step: float) -> float:
+    """The step size a step from t starts with, given the proposed one:
+    at least ten ulps of t, at most max_step."""
+    return min(max(h_abs, 10 * abs(math.nextafter(t, math.inf) - t)), max_step)
 
-    fun returns a complex array shaped like y.  Steps, rhs calls and
-    results are those of scipy.integrate.solve_ivp(method="RK45") with
-    the same arguments: same initial step, RMS error norm, step
-    controller (a step after a rejection may not grow) and dense output.
-    A step that would fall below ten ulps of t, or a NaN step size, ends
-    the run with success False.  Returns a namespace with t (accepted
-    times), y (n, len(t)), nfev, success, message and sol: with
-    dense_output, a callable giving y at a 1-D array of times (shape
-    (n, len(times))), else None.
+
+def _guess_grid(t, h_abs, t_bound, max_step, size):
+    """The times the controller reaches in up to `size` steps from t, and
+    the step size each step starts with, if every step is accepted and
+    the next one grows by the largest factor, x10, up to max_step."""
+    ts, starts = [t], [h_abs]
+    while len(ts) <= size and t < t_bound and h_abs < max_step:
+        t_old, t = t, min(t + h_abs, t_bound)
+        ts.append(t)
+        h_abs = _start_step((t - t_old) * _MAX_FACTOR, t, max_step)
+        starts.append(h_abs)
+    if len(ts) <= size and t < t_bound:
+        # steps of max_step, summed in order as the controller sums them
+        tail = np.add.accumulate(np.r_[t, np.full(size + 1 - len(ts), max_step)])
+        tail = np.minimum(tail[1:], t_bound)
+        tail = tail[:np.searchsorted(tail, t_bound) + 1].tolist()
+        ts += tail
+        starts += [max_step] * len(tail)
+    return ts, starts
+
+
+def _step_operators(cp: Coupling, t: np.ndarray, h: np.ndarray):
+    """Step matrices M_k (y_k+1 = M_k y_k) and error matrices of the
+    steps (t_k, t_k + h_k), plus what the dense output needs.
+
+    Every stage value and derivative is linear in the 7 coordinates
+    z = (y_s, u_0 . y_L, ..., u_5 . y_L) with u_i = u(t + c_i h): the
+    stages' storage values sigma = S z and storage derivatives
+    kappa = K z obey sigma = SIGMA0 + h A kappa and
+    kappa = KAPPA0 + h (A o G) sigma with G_ij = u_i . v_j, and the level
+    part of stage i's derivative is v_i sigma_i.  So M = I + T R, where
+    z = R y and T holds the stage sums; the same holds for the error.
+    """
+    N, m = len(h), cp.deltas.size
+    u, v = _couplings(cp, t[:, None] + _C * h[:, None])          # (N, 7, m)
+    hh = h[:, None, None]
+    AG = _A * (u @ v.swapaxes(1, 2))
+    # (I - X) S = SIGMA0 + h A KAPPA0 with X = h^2 A (A o G) strictly lower
+    # triangular, with X^4 = 0 (A and A o G both are), so the series is exact
+    B = _SIGMA0 + hh * _A_KAPPA0
+    X = (hh * hh) * (_A @ AG)
+    S = B + X @ (B + X @ (B + X @ B))
+    K = _KAPPA0 + hh * (AG @ S)
+    # T[k, r, w]: coefficients on z of row r of step k's increment of the
+    # solution (w = 0) or of the error estimate (w = 1)
+    T = np.empty((N, m + 1, 2, 7), dtype=complex)
+    T[:, 0] = _W @ K
+    T[:, 1:] = (v.swapaxes(1, 2) @ (_W.T[:, :, None] * S[:, :, None]).reshape(N, 7, 14)
+                ).reshape(N, m, 2, 7)
+    T *= hh[..., None]
+    R = np.zeros((N, 7, m + 1), dtype=complex)
+    R[:, 0, 0] = 1.0
+    R[:, 1:, 1:] = u[:, :6]
+    MM = (T.reshape(N, 2 * m + 2, 7) @ R).reshape(N, m + 1, 2, m + 1)
+    return MM[:, :, 0] + np.eye(m + 1), MM[:, :, 1], (R, S, K, v)
+
+
+def _dense_coefficients(parts, y: np.ndarray) -> np.ndarray:
+    """Shampine's interpolant coefficients Q (N, n, 4) of each step from
+    its start state y (N, n): y(t_k + x h) = y_k + h Q p(x), p = (x, .., x^4)."""
+    R, S, K, v = parts
+    z = R @ y[:, :, None]
+    kappa, sigma = K @ z, S @ z                                # (N, 7, 1)
+    return np.concatenate((kappa.swapaxes(1, 2), (v * sigma).swapaxes(1, 2)), axis=1) @ _P
+
+
+def solve_ivp(coupling: Coupling, t_span, y0, rtol, atol, max_step, dense_output=False):
+    """Integrate the coupling's ODE over t_span = (t0, t1), t1 > t0, with RK45.
+
+    y0 is a state vector (m + 1,) or a matrix (m + 1, c) whose columns
+    are integrated together (the identity gives the propagator).  The
+    initial step, RMS error norm (over all entries of y), step
+    controller (a step after a rejection may not grow) and dense output
+    are those of scipy.integrate.solve_ivp(method="RK45"), so the steps
+    and rhs-call count are scipy's on the same ODE; where the error
+    controller sets a step size, step times can differ from scipy's in
+    rounding.  Steps are taken in batches: the stepper guesses the grid
+    the controller takes if every step is accepted and grows at the
+    largest rate, builds every step's matrix in a few array operations,
+    carries the state through them, and then replays the controller on
+    the batch's error norms, keeping the steps up to its first
+    disagreement (a rejection or a different next step size).  A zero,
+    NaN or too small step size ends the run with success False.
+    Returns a namespace with t (accepted times), y (y0.shape + (len(t),)),
+    nfev (the rhs calls of an RK45 solver), success, message and sol:
+    with dense_output (vector y0 only), a callable giving y at a 1-D
+    array of times (shape (m + 1, len(times))), else None.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
         raise ValueError(f"t_span must be increasing, got {t_span}")
     y = np.asarray(y0, dtype=complex)
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound, max_step, rtol, atol)
+    if dense_output and y.ndim != 1:
+        raise ValueError("dense output needs a state vector")
+    h_abs = _initial_step(coupling, t, y, t_bound, max_step, rtol, atol)
     nfev = 2
-    K = np.empty((7, y.size), dtype=complex)
-    KT = K.T
-    abs_y = np.abs(y)
-    ts, ys, Qs = [t], [y], []
-    message = None
-    while t < t_bound:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = min(max(h_abs, min_step), max_step)
-        rejected = False
-        while h_abs >= min_step:        # False for a NaN step size too
-            t_new = min(t + h_abs, t_bound)
-            h = h_abs = t_new - t
-            K[0] = f
-            for s, (c, a) in enumerate(_STAGES, start=1):
-                K[s] = fun(t + c * h, y + np.dot(KT[:, :s], a) * h)
-            y_new = y + h * np.dot(KT[:, :6], _B)
-            f_new = fun(t + h, y_new)
-            K[-1] = f_new
-            nfev += 6
-            abs_new = np.abs(y_new)
-            scale = atol + np.maximum(abs_y, abs_new) * rtol
-            error_norm = _rms(np.dot(KT, _E) * h / scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            rejected = True
-        else:
-            message = "Required step size is less than spacing between numbers."
+    ts, ys, Qs = [np.array([t])], [y[None]], []
+    rejected, size = False, _BATCH_START
+    message = None if h_abs > 0 else _TOO_SMALL_STEP
+    while message is None and t < t_bound:
+        if not rejected:
+            h_abs = _start_step(h_abs, t, max_step)
+        if not h_abs >= 10 * abs(math.nextafter(t, math.inf) - t):     # False for NaN too
+            message = _TOO_SMALL_STEP
             break
-        if dense_output:
-            Qs.append(KT.dot(_P))
-        t, y, f, abs_y = t_new, y_new, f_new, abs_new
-        ts.append(t)
-        ys.append(y)
-    ts = np.array(ts)
+        grid, starts = _guess_grid(t, h_abs, t_bound, max_step, size)
+        hs = np.diff(grid)
+        N = len(hs)
+        M, err_ops, parts = _step_operators(coupling, np.array(grid[:-1]), hs)
+        yb = np.empty((N + 1,) + y.shape, dtype=complex)
+        yb[0] = y
+        for Mk, yk, yk1 in zip(M, yb, yb[1:]):
+            np.dot(Mk, yk, out=yk1)
+        Yb, abs_Y = yb.reshape(N + 1, y.shape[0], -1), np.abs(yb).reshape(N + 1, y.shape[0], -1)
+        errs = ((err_ops @ Yb[:-1]) / (atol + np.maximum(abs_Y[:-1], abs_Y[1:]) * rtol)
+                ).reshape(N, -1).view(float)
+        norms = np.sqrt(np.einsum("ki,ki->k", errs, errs) / y.size)
+        # replay the controller; steps 0 .. kept-1 are accepted
+        kept = 0
+        for h, error_norm in zip(hs.tolist(), norms.tolist()):
+            nfev += 6
+            if not error_norm < 1:
+                h_abs = h * max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                rejected = True
+                break
+            if error_norm == 0:
+                factor = _MAX_FACTOR
+            else:
+                factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            h_abs = h * (min(1, factor) if rejected else factor)
+            rejected = False
+            kept += 1
+            if kept < N and _start_step(h_abs, grid[kept], max_step) != starts[kept]:
+                break
+        size = min(2 * size, _BATCH_MAX) if kept == N else _BATCH_MIN
+        if kept:
+            ts.append(grid[1:kept + 1])
+            ys.append(yb[1:kept + 1])
+            if dense_output:
+                Qs.append(_dense_coefficients([p[:kept] for p in parts], yb[:kept]))
+            t, y = grid[kept], yb[kept]
+    ts, ys = np.concatenate(ts), np.concatenate(ys)
     return SimpleNamespace(
-        t=ts, y=np.vstack(ys).T, nfev=nfev, success=message is None,
+        t=ts, y=np.moveaxis(ys, 0, -1), nfev=nfev, success=message is None,
         message=message or "The solver successfully reached the end of the integration interval.",
-        sol=_DenseSolution(ts, ys, Qs) if dense_output else None)
+        sol=_DenseSolution(ts, ys, np.concatenate(Qs)) if dense_output and Qs else None)
 
 
 class _DenseSolution:
@@ -497,19 +617,11 @@ class _DenseSolution:
 
     def __call__(self, t):
         t = np.asarray(t)
-        order = np.argsort(t)
-        t_sorted = t[order]
         # a time on a step boundary belongs to the earlier step
-        segs = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, len(self.Qs) - 1)
-        out = np.empty((self.ys[0].size, t.size), dtype=complex)
-        cuts = np.flatnonzero(np.diff(segs)) + 1
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, t.size]):
-            k = segs[lo]
-            h = self.ts[k + 1] - self.ts[k]
-            x = (t_sorted[lo:hi] - self.ts[k]) / h
-            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
-            out[:, order[lo:hi]] = h * np.dot(self.Qs[k], p) + self.ys[k][:, None]
-        return out
+        k = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.Qs) - 1)
+        h = self.ts[k + 1] - self.ts[k]
+        p = np.cumprod(np.tile((t - self.ts[k]) / h, (4, 1)), axis=0)
+        return h * np.einsum("knq,qk->nk", self.Qs[k], p) + self.ys[k].T
 
 
 _PROPAGATORS: OrderedDict = OrderedDict()     # shape key -> U0, least recently used first
@@ -523,9 +635,11 @@ def pulse_propagator(spec: ManifoldSpec, pulse: PulseSpec, mode: str = "exact") 
     Only the shape matters (fwhm, peak Rabi frequency, carrier
     detuning): center_time, phase and target are ignored, since the
     same U0 serves either storage level at any centre and phase (see
-    the module docstring for the conjugation).  U0 comes from one RK45
-    solve of the flattened matrix equation with integrate_pulse's
-    settings, is rejected unless max|U0^dagger U0 - 1| <= 1e-8, and is
+    the module docstring for the conjugation).  U0 comes from one
+    solve_ivp run with integrate_pulse's settings that carries the
+    identity matrix through the step matrices (the same steps as a
+    state vector would take, the error norm taken over all its
+    entries), is rejected unless max|U0^dagger U0 - 1| <= 1e-8, and is
     kept in a bounded process-wide cache.  The returned array is
     read-only.
     """
@@ -539,22 +653,8 @@ def pulse_propagator(spec: ManifoldSpec, pulse: PulseSpec, mode: str = "exact") 
     shape = replace(pulse, center_time=0.0, phase=0.0)
     deltas = detunings(spec, mode) + shape.carrier_detuning
     omega = rabi_profile(spec, shape.peak_rabi).omega_j
-    i_deltas = 1j * deltas
-    w = 0.5j * omega
-    a = -4.0 * LN2 / shape.fwhm**2
     n = spec.d + 1
-
-    def rhs(t, y):
-        Y = y.reshape(n, n)
-        f = math.exp(a * t * t)
-        e = np.exp(i_deltas * t)
-        dY = np.empty((n, n), dtype=complex)
-        dY[0] = (f * w * e.conj()) @ Y[1:]
-        dY[1:] = (f * w * e)[:, None] * Y[0]
-        return dY.ravel()
-
-    sol = _solve_pulse(rhs, shape, deltas, np.eye(n, dtype=complex).ravel())
-    U0 = sol.y[:, -1].reshape(n, n).copy()     # not a view that keeps every step alive
+    U0 = _solve_pulse(shape, omega, deltas, np.eye(n, dtype=complex)).y[..., -1].copy()
     err = float(np.max(np.abs(U0.conj().T @ U0 - np.eye(n))))
     if not err <= NORM_TOLERANCE:
         raise RuntimeError(f"pulse propagator is off unitary by {err:.3e}")

@@ -80,6 +80,10 @@ class ScenarioError(RuntimeError):
 # quantity and config parsing
 
 MANIFOLD_UNITS = ("kepler", "revival", "superrevival")
+# Largest |area| of a declarative pulse, in radians (50 Rabi cycles); a
+# peak_rabi is held to the same area.  Far larger areas overflow the
+# pulse integrator or take it millions of steps.
+MAX_PULSE_AREA = 100.0 * math.pi
 
 
 def parse_quantity(value, where: str, spec: ManifoldSpec | None = None) -> float:
@@ -886,11 +890,17 @@ def _parse_pulse_event(sub: dict, spec: ManifoldSpec, clock: float, where: str) 
         raise ConfigError(f"{where}.fwhm: must be positive")
     if ("area" in sub) == ("peak_rabi" in sub):
         raise ConfigError(f"{where}: give exactly one of area, peak_rabi")
+    pi_peak = pi_pulse_peak_rabi(spec, fwhm)
     if "area" in sub:
         area = math.pi if sub["area"] == "pi" else _finite(sub["area"], f"{where}.area")
-        peak = pi_pulse_peak_rabi(spec, fwhm) * area / math.pi
+        peak = pi_peak * area / math.pi
     else:
         peak = _finite(sub["peak_rabi"], f"{where}.peak_rabi")
+        area = math.pi * peak / pi_peak
+    if not abs(area) <= MAX_PULSE_AREA:
+        key = "area" if "area" in sub else "peak_rabi"
+        raise ConfigError(f"{where}.{key}: pulse area {area:.6g} rad is beyond "
+                          f"+-{MAX_PULSE_AREA:.6g} (100 pi)")
     detuning = _finite(sub.get("detuning", 0.0), f"{where}.detuning")
     phase = _finite(sub.get("phase", 0.0), f"{where}.phase")
     target = sub.get("target", "g")

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import unitary_group
 
@@ -88,6 +90,43 @@ def test_decompose_haar_reconstructs(d):
     ops = decompose_unitary(U, spec)
     np.testing.assert_allclose(compose_ops(ops, spec), U, atol=1e-12)
     assert len(ops) <= d * (d - 1) // 2 + math.ceil(d / 2)
+
+
+def _assert_decomposes(U, spec):
+    ops = decompose_unitary(U, spec)
+    np.testing.assert_allclose(compose_ops(ops, spec), U, atol=1e-12)
+    assert len(ops) <= spec.d * (spec.d - 1) // 2 + math.ceil(spec.d / 2)
+    return ops
+
+
+_phases = st.lists(st.floats(-math.pi, math.pi), min_size=8, max_size=8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(2, 8), perm_seed=st.integers(0, 2**32 - 1), phases=_phases)
+def test_decompose_permutations_and_diagonals(d, perm_seed, phases):
+    # permutations are the zero-rich inputs where Givens elimination meets
+    # exact zeros; a diagonal needs no rotation, only paired phases
+    spec = _spec(d)
+    D = np.diag(np.exp(1j * np.array(phases[:d])))
+    ops = _assert_decomposes(D, spec)
+    assert len(ops) <= math.ceil(d / 2)
+    perm = np.random.default_rng(perm_seed).permutation(d)
+    _assert_decomposes(np.eye(d)[perm] @ D, spec)
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(2, 8), log_eps=st.floats(-16.0, -12.0), pair_seed=st.integers(0, 2**32 - 1),
+       phases=_phases)
+def test_decompose_near_skip_threshold(d, log_eps, pair_seed, phases):
+    # a rotation by eps around the 1e-14 below which an entry is skipped
+    # instead of rotated: either branch reconstructs the input
+    spec = _spec(d)
+    a, b = np.random.default_rng(pair_seed).choice(d, size=2, replace=False)
+    eps = 10.0 ** log_eps
+    R = np.eye(d, dtype=complex)
+    R[np.ix_([a, b], [a, b])] = [[math.cos(eps), -math.sin(eps)], [math.sin(eps), math.cos(eps)]]
+    _assert_decomposes(np.diag(np.exp(1j * np.array(phases[:d]))) @ R, spec)
 
 
 def test_decompose_identity_is_empty():
@@ -218,6 +257,35 @@ def test_schedule_json_roundtrip():
     assert doc["nbar"] == 180 and doc["d"] == 4
     back = schedule_from_json(text)
     assert back == sched
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _schedules(draw):
+    d = draw(st.integers(2, 8))
+    spec = ManifoldSpec(nbar=draw(st.integers(max(4, d + 1), 10_000)), d=d)
+    primitive = st.one_of(
+        st.builds(Wait, duration=st.floats(0.0, 1e12)),
+        st.builds(ManifoldPiPulse, slot=st.sampled_from([int(k) for k in spec.k_values]),
+                  target=st.sampled_from(["g", "e"]), phase=_finite),
+        st.builds(StoragePulse, theta=_finite, phi=_finite, detuning_area=_finite,
+                  phase_g=_finite, phase_e=_finite),
+    )
+    return GateSchedule(nbar=spec.nbar, d=d, pulse_fwhm=draw(st.floats(1e-300, 1e300)),
+                        peak_rabi=draw(st.floats(1e-300, 1e300)),
+                        primitives=draw(st.lists(primitive, max_size=12)),
+                        recorded_global_phase=draw(_finite))
+
+
+@settings(max_examples=50, deadline=None)
+@given(sched=_schedules())
+def test_schedule_json_roundtrip_property(sched):
+    # every field survives the JSON text bit for bit
+    text = schedule_to_json(sched)
+    assert schedule_from_json(text) == sched
+    assert schedule_to_json(schedule_from_json(text)) == text
 
 
 def test_shift_targets_compile_to_free_flight():

@@ -19,6 +19,7 @@ from rydpacket.basis import packet_to_energy_matrix
 from rydpacket.constants import LN2
 from rydpacket.manifold import SPECTRUM_MODES, detunings
 from rydpacket.pulse import (
+    Coupling,
     PulseSpec,
     _solve_pulse,
     core_rabi_dft,
@@ -290,6 +291,65 @@ def test_pulse_propagator_is_cached_unitary_and_shape_only():
     assert pulse_propagator(spec, pulse, mode="taylor1") is not U0
 
 
+def _scipy_rk45(coupling, t_span, y0, **kwargs):
+    """scipy's RK45 on the coupling's ODE through a plain right-hand side:
+    the reference the in-package stepper is checked against."""
+    cp, n = coupling, np.shape(y0)[0]
+
+    def rhs(t, y):
+        f = math.exp(cp.rate * (t - cp.center) ** 2)
+        e = np.exp(1j * cp.deltas * t)
+        Y = y.reshape(n, -1)
+        dY = np.empty_like(Y)
+        dY[0] = f * ((cp.w_in * e.conj()) @ Y[1:])
+        dY[1:] = (f * cp.w_out * e)[:, None] * Y[0]
+        return dY.ravel()
+
+    return scipy.integrate.solve_ivp(rhs, t_span, np.ravel(y0), method="RK45", **kwargs)
+
+
+def _assert_matches_rk45(coupling, t_span, y0, **kwargs):
+    """solve_ivp against scipy's RK45: the same step count, rhs calls,
+    first and last time, outcome and message; states within 1e-14 (every
+    step state where the grids are equal; where the error controller sets
+    a step, step times may differ in rounding).  Returns both solutions."""
+    got = solve_ivp(coupling, t_span, y0, **kwargs)
+    ref = _scipy_rk45(coupling, t_span, y0, **kwargs)
+    assert (got.success, got.message) == (ref.success, ref.message)
+    assert len(got.t) == len(ref.t)
+    assert got.nfev == ref.nfev
+    assert (got.t[0], got.t[-1]) == (ref.t[0], ref.t[-1])
+    y = got.y.reshape(-1, len(got.t))
+    assert np.max(np.abs(y[:, -1] - ref.y[:, -1])) <= 1e-14
+    if np.array_equal(got.t, ref.t):
+        assert np.max(np.abs(y - ref.y)) <= 1e-14
+    if kwargs.get("dense_output"):
+        t_eval = np.linspace(*t_span, 37)
+        assert np.max(np.abs(got.sol(t_eval) - ref.sol(t_eval))) <= 1e-14
+    else:
+        assert got.sol is None
+    return got, ref
+
+
+def _pulse_solves(spec, pulse, mode, v):
+    """The (coupling, t_span, y0, kwargs) of every solve_ivp call made by
+    integrate_pulse, a fresh pulse_propagator and the detuned oracle."""
+    calls = []
+
+    def capture(coupling, t_span, y0, **kwargs):
+        calls.append((coupling, t_span, y0, kwargs))
+        return solve_ivp(coupling, t_span, y0, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pulse_mod, "solve_ivp", capture)
+        mp.setattr(pulse_mod, "_PROPAGATORS", OrderedDict())     # force a fresh U0 solve
+        integrate_pulse(SimulationState(spec=spec, b_energy=v[2:], b_g=v[0], b_e=v[1],
+                                        t=pulse.t_start), pulse, mode=mode)
+        pulse_propagator(spec, pulse, mode)
+        two_level_oracle(v[0], v[2], pulse, core_rabi_dft(spec, pulse.peak_rabi))
+    return calls
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     d=st.integers(2, 8),
@@ -305,8 +365,9 @@ def test_pulse_propagator_is_cached_unitary_and_shape_only():
 )
 def test_solve_ivp_matches_scipy_rk45(
         d, mode, target, center_kepler, phase, detuning_steps, area_factor, dense, seed):
-    # the in-package stepper takes scipy's RK45 steps and arithmetic, so on the
-    # package's own right-hand sides it reproduces scipy step for step
+    # on the package's own couplings (a state vector, the propagator's
+    # identity matrix, the detuned two-level oracle) the batched stepper
+    # takes scipy's RK45 steps
     spec = ManifoldSpec(nbar=180, d=d)
     ts = time_scales(spec)
     fwhm = 0.25 * LN2 * ts.t_kepler / d
@@ -316,74 +377,105 @@ def test_solve_ivp_matches_scipy_rk45(
     rng = np.random.default_rng(seed)
     v = rng.normal(size=d + 2) + 1j * rng.normal(size=d + 2)
     v /= np.linalg.norm(v)
-    calls = []
+    calls = _pulse_solves(spec, pulse, mode, v)
+    assert [np.ndim(y0) for _, _, y0, _ in calls] == [1, 2, 1]
+    for coupling, t_span, y0, kwargs in calls:
+        kwargs = dict(kwargs, dense_output=dense and np.ndim(y0) == 1)
+        got, _ = _assert_matches_rk45(coupling, t_span, y0, **kwargs)
+        assert got.success
 
-    def capture(fun, t_span, y0, **kwargs):
-        calls.append((fun, t_span, y0, kwargs))
-        return solve_ivp(fun, t_span, y0, **kwargs)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pulse_mod, "solve_ivp", capture)
-        mp.setattr(pulse_mod, "_PROPAGATORS", OrderedDict())     # force a fresh U0 solve
-        integrate_pulse(SimulationState(spec=spec, b_energy=v[2:], b_g=v[0], b_e=v[1],
-                                        t=pulse.t_start), pulse, mode=mode)
-        pulse_propagator(spec, pulse, mode)
-        two_level_oracle(v[0], v[2], pulse, core_rabi_dft(spec, pulse.peak_rabi))
-    assert len(calls) == 3
-
-    for fun, t_span, y0, kwargs in calls:
-        kwargs = dict(kwargs, dense_output=dense)
-        got = solve_ivp(fun, t_span, y0, **kwargs)
-        ref = scipy.integrate.solve_ivp(fun, t_span, y0, method="RK45", **kwargs)
-        assert got.success and ref.success
-        np.testing.assert_array_equal(got.t, ref.t)
-        assert got.nfev == ref.nfev
-        assert np.max(np.abs(got.y - ref.y)) <= 1e-14
-        if dense:
-            t_eval = np.linspace(*t_span, 37)
-            assert np.max(np.abs(got.sol(t_eval) - ref.sol(t_eval))) <= 1e-14
-            # at an accepted step time both take the earlier step's interpolant;
-            # the later one would differ in rounding only, so compare exactly
-            np.testing.assert_array_equal(got.sol(got.t[1:-1:7]), ref.sol(got.t[1:-1:7]))
-        else:
-            assert got.sol is None
+def _flat(w, deltas, rate=0.0):
+    w = np.asarray(w, dtype=complex)
+    return Coupling(rate=rate, center=0.0, w_in=0.5j * w, w_out=0.5j * w,
+                    deltas=np.asarray(deltas, dtype=float))
 
 
 def test_solve_ivp_stops_on_nan_rhs():
     # scipy's RK45 loops forever when the first derivative is NaN (its
     # initial step is NaN); this stepper fails at once
-    calls = []
-
-    def nan_rhs(t, y):
-        calls.append(t)
-        assert len(calls) < 10_000, "the stepper does not terminate"
-        return np.full_like(y, np.nan)
-
     y0 = np.ones(3, dtype=complex)
-    sol = solve_ivp(nan_rhs, (0.0, 1.0), y0, rtol=1e-10, atol=1e-12, max_step=0.01)
+    sol = solve_ivp(_flat([np.nan, 1.0], [1.0, 2.0]), (0.0, 1.0), y0,
+                    rtol=1e-10, atol=1e-12, max_step=0.01)
     assert not sol.success
     assert "step size" in sol.message
     assert sol.t.tolist() == [0.0]
     pulse = PulseSpec(fwhm=0.1, peak_rabi=1.0)
     with pytest.raises(RuntimeError, match="pulse integration failed"):
-        _solve_pulse(nan_rhs, pulse, np.array([1.0]), y0)
+        _solve_pulse(pulse, np.array([np.nan]), np.array([1.0]), y0[:2])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("rhs", [
-    lambda t, y: np.zeros_like(y),               # zero derivative: smallest first step, no error
-    lambda t, y: -1e-9 * y,                      # first step clipped to the interval
-    lambda t, y: np.full_like(y, np.nan) if t > 0.5 else -y,   # fails half way
-], ids=["zero", "slow", "nan_midway"])
-def test_solve_ivp_matches_scipy_rk45_on_edge_cases(rhs):
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_solve_ivp_fails_on_overflowing_first_step():
+    # a derivative that overflows makes the initial step 0; that ends the run
+    # with success False (it used to divide by zero)
     y0 = np.ones(3, dtype=complex)
-    kwargs = dict(rtol=1e-10, atol=1e-12, max_step=0.01)
-    got = solve_ivp(rhs, (0.0, 1.0), y0, **kwargs)
-    ref = scipy.integrate.solve_ivp(rhs, (0.0, 1.0), y0, method="RK45", **kwargs)
-    assert (got.success, got.message) == (ref.success, ref.message)
+    sol = solve_ivp(_flat([1e308, 1e308], [1.0, 2.0]), (0.0, 1.0), y0,
+                    rtol=1e-10, atol=1e-12, max_step=0.01)
+    assert (sol.success, sol.t.tolist(), sol.nfev) == (False, [0.0], 2)
+    assert "step size" in sol.message
+    # the pulse of a declarative `area: 1.0e+308` event, run past the config check
+    spec = ManifoldSpec(nbar=180, d=4)
+    fwhm = 0.02 * time_scales(spec).t_kepler
+    pulse = PulseSpec(fwhm=fwhm, peak_rabi=pi_pulse_peak_rabi(spec, fwhm) * 1e308 / math.pi)
+    state = SimulationState(spec=spec, b_energy=np.full(4, 0.5, dtype=complex), t=pulse.t_start)
+    with pytest.raises(RuntimeError, match="pulse integration failed"):
+        integrate_pulse(state, pulse)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("coupling,t_span,max_step", [
+    # zero derivative: smallest first step, no error, x10 growth to the cap
+    (_flat([0.0, 0.0], [1.0, -1.0]), (0.0, 1.0), 0.01),
+    # weak enough that one step covers the interval
+    (_flat([1e-14, 1e-14], [1.0, -1.0]), (0.0, 1.0), math.inf),
+    # the detuning phase overflows to NaN half way: rejections down to the
+    # smallest step, then failure
+    (_flat([1e-20, 1e-20], [1.7e308, 1.0]), (0.0, 2.0), 0.05),
+], ids=["zero", "slow", "nan_midway"])
+def test_solve_ivp_matches_scipy_rk45_on_edge_cases(coupling, t_span, max_step):
+    y0 = np.ones(3, dtype=complex)
+    got, ref = _assert_matches_rk45(coupling, t_span, y0, rtol=1e-10, atol=1e-12,
+                                    max_step=max_step)
     np.testing.assert_array_equal(got.t, ref.t)
-    assert got.nfev == ref.nfev
-    np.testing.assert_array_equal(got.y, ref.y)
+    assert (len(got.t) == 2) == (max_step == math.inf)
+
+
+def _controller_stepped():
+    # taylor3, 1.2 pi, 1.7 level spacings off resonance: mid-pulse steps are
+    # set by the error controller, not by max_step
+    spec = ManifoldSpec(nbar=180, d=8)
+    ts = time_scales(spec)
+    fwhm = 0.25 * LN2 * ts.t_kepler / 8
+    pulse = PulseSpec(fwhm=fwhm, peak_rabi=1.2 * pi_pulse_peak_rabi(spec, fwhm),
+                      carrier_detuning=1.7 * 2.0 * math.pi / ts.t_kepler,
+                      phase=0.4)
+    v = np.r_[0.0, 0.0, np.full(8, 8 ** -0.5)].astype(complex)
+    return _pulse_solves(spec, pulse, "taylor3", v)
+
+
+@pytest.mark.parametrize("case", ["controller_steps", "rejections", "propagator"])
+def test_solve_ivp_replays_rk45_controller(case):
+    # the batch replay paths, with scipy's RK45 as the oracle: steps whose size
+    # the controller sets (a guessed grid is right one step at a time),
+    # rejected steps, and the propagator's matrix state
+    if case == "rejections":
+        coupling, t_span = _flat([3.0, 3.0, 3.0], [-1.0, 0.3, 2.0], rate=-0.5), (-6.0, 6.0)
+        y0, kwargs = np.array([1, 0, 0, 0], dtype=complex), dict(rtol=1e-10, atol=1e-12,
+                                                                 max_step=math.inf)
+    else:
+        calls = _controller_stepped()
+        coupling, t_span, y0, kwargs = calls[0 if case == "controller_steps" else 1]
+    kwargs = dict(kwargs, dense_output=np.ndim(y0) == 1)
+    got, ref = _assert_matches_rk45(coupling, t_span, y0, **kwargs)
+    assert got.success
+    if case == "rejections":
+        assert ref.nfev > 2 + 6 * (len(ref.t) - 1)
+    else:       # mid-pulse steps shorter than max_step: set by the error controller
+        h = np.diff(ref.t)
+        assert np.min(h[h.size // 4: -h.size // 4]) < 0.99 * kwargs["max_step"]
 
 
 def test_import_loads_no_scipy():

@@ -305,6 +305,26 @@ def test_declarative_config_errors():
         run_scenario({"manifold": {"nbar": 180}, "initial_state": "uniform_packet"})
 
 
+def test_declarative_pulse_area_is_bounded(tmp_path, capsys):
+    # an area of 1e308 used to reach the pulse integrator and die there with a
+    # ZeroDivisionError traceback (exit 1)
+    base = dict(initial_state={"packet": 0}, d=4)
+    for pulse, field in [({"area": 1.0e308}, "area"), ({"area": -101 * math.pi}, "area"),
+                         ({"peak_rabi": 1.0e300}, "peak_rabi")]:
+        events = [{"pulse": {"fwhm": "0.02 kepler", "slot": 0, **pulse}}]
+        with pytest.raises(ConfigError, match=rf"events\[0\]\.{field}: pulse area"):
+            run_scenario(_decl(events=events, **base))
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(
+        "manifold: {nbar: 180, d: 4}\n"
+        "initial_state: {packet: 0}\n"
+        "events:\n"
+        "  - pulse: {fwhm: 0.02 kepler, area: 1.0e+308, slot: 0}\n"
+    )
+    assert main(["run", str(cfg)]) == 2
+    assert "events[0].area: pulse area" in capsys.readouterr().err
+
+
 def test_declarative_pulse_center_within_clock_tolerance():
     # a centre up to 1e-9 au before 4 sigma past the clock is accepted;
     # the pulse then starts at the clock instead of flying backwards
