@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import os
 import sys
 
@@ -32,11 +33,51 @@ from .scenarios import (
     list_scenarios,
     load_unitary_file,
     parse_quantity,
+    read_text,
     run_scenario,
 )
 
 
+class _UniqueKeys:
+    """Constructor mixin of the config loader: a key appears once per mapping.
+
+    YAML requires unique keys, but PyYAML keeps the last value of a
+    repeated one, which would silently run a config other than the one
+    the file seems to show.
+    Merge keys (<<) may still be overridden by explicit ones.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        if isinstance(node, yaml.MappingNode):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node)
+                try:
+                    repeated = key in seen
+                except TypeError:       # unhashable: the base constructor rejects it
+                    continue
+                if repeated:
+                    raise ConfigError(f"duplicate key {key!r} on line "
+                                      f"{key_node.start_mark.line + 1}")
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+# libyaml's scanner and parser, PyYAML's own where it was built without
+# libyaml; the constructor is PyYAML's SafeConstructor either way
+class _ConfigLoader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    pass
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use.
+
+    Nothing changes it after it is built; each parse_args call returns a
+    fresh namespace.
+    """
     p = argparse.ArgumentParser(
         prog="rydpacket",
         description="orbital wave-packet qudit simulations and pulse compilation",
@@ -80,11 +121,13 @@ def _resolve_source(source: str):
     if source in REGISTRY:
         return source
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                cfg = yaml.safe_load(fh)
-            except yaml.YAMLError as e:
-                raise ConfigError(f"{source}: not valid YAML ({e})") from None
+        text = read_text(source)
+        try:
+            cfg = yaml.load(text, Loader=_ConfigLoader)
+        except yaml.YAMLError as e:
+            raise ConfigError(f"{source}: not valid YAML ({e})") from None
+        except ConfigError as e:
+            raise ConfigError(f"{source}: {e}") from None
         if not isinstance(cfg, dict):
             raise ConfigError(f"{source}: config must be a mapping")
         return cfg
@@ -151,11 +194,11 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.schedule_file, "r", encoding="utf-8") as fh:
-        try:
-            schedule = schedule_from_json(fh.read())
-        except (ValueError, KeyError, TypeError) as e:
-            raise ConfigError(f"{args.schedule_file}: {e}") from None
+    text = read_text(args.schedule_file)
+    try:
+        schedule = schedule_from_json(text)
+    except (ValueError, KeyError, TypeError) as e:
+        raise ConfigError(f"{args.schedule_file}: {e}") from None
     U = load_unitary_file(args.unitary_file)
     if U.shape[0] != schedule.d:
         raise ConfigError(

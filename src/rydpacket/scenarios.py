@@ -184,13 +184,28 @@ def unitary_from_obj(obj) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def read_text(path) -> str:
+    """The text of an input file, read as UTF-8.
+
+    A file that cannot be opened or read (missing, a directory, no
+    permission) or that is not UTF-8 is a ConfigError naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e})") from None
+    except OSError as e:
+        raise ConfigError(f"{path}: {e.strerror or e}") from None
+
+
 def load_unitary_file(path) -> np.ndarray:
     """Read a matrix from a JSON file (see unitary_from_obj)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: not valid JSON ({e})") from None
+    text = read_text(path)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: not valid JSON ({e})") from None
     return unitary_from_obj(obj)
 
 

@@ -2,17 +2,20 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from scipy.stats import unitary_group
 
-from rydpacket import ManifoldSpec, list_scenarios, run_scenario, time_scales
+from rydpacket import ManifoldSpec, cli, list_scenarios, run_scenario, time_scales
 from rydpacket.basis import packet_to_energy_matrix
 from rydpacket.cli import main
 from rydpacket.constants import LN2, TIME_UNITS
 from rydpacket.gates import random_two_level_unitary
+from rydpacket.manifold import SPECTRUM_MODES
 from rydpacket.pulse import PulseSpec
 from rydpacket.scenarios import (
     ConfigError,
@@ -398,13 +401,93 @@ def test_cli_run_yaml_with_trace(tmp_path, capsys):
     assert main(["run", str(cfg), str(cfg), "--trace", str(trace)]) == 2
 
 
-def test_cli_run_invalid_yaml(tmp_path):
+def test_cli_run_invalid_yaml(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("scenario: time_scales\nbogus: 3\n")
     assert main(["run", str(bad)]) == 2
     notmap = tmp_path / "list.yaml"
     notmap.write_text("- 1\n- 2\n")
     assert main(["run", str(notmap)]) == 2
+    capsys.readouterr()
+    # libyaml and PyYAML's own scanner word the reason differently
+    unclosed = tmp_path / "unclosed.yaml"
+    unclosed.write_text("manifold: {nbar: 180, d: 4\nevents: []\n")
+    assert main(["run", str(unclosed)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {unclosed}: not valid YAML (")
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("manifold: {nbar: 180, d: 4}\nmanifold: {nbar: 200, d: 3}\nevents: []\n", "manifold", 2),
+    ("scenario: time_scales\nscenario: rabi_dft_ratio\n", "scenario", 2),
+    ("manifold: {nbar: 180, d: 4}\n"
+     "events:\n"
+     "  - pulse:\n"
+     "      fwhm: 0.02 kepler\n"
+     "      area: pi\n"
+     "      slot: 0\n"
+     "      area: 2.0\n", "area", 7),
+], ids=["top-level", "scenario", "pulse-event"])
+def test_cli_run_rejects_duplicate_keys(tmp_path, capsys, text, key, line):
+    # PyYAML keeps the last value: these once ran d = 3, the second
+    # scenario or an area of 2 rad, with exit 0
+    path = tmp_path / "dup.yaml"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}: duplicate key {key!r} on line {line}\n")
+
+
+def _seeded_configs(n, seed):
+    """YAML texts of declarative configs over the value types configs use."""
+    rng = np.random.default_rng(seed)
+    texts = []
+    for _ in range(n):
+        d = int(rng.integers(2, 9))
+        z = rng.normal(size=d) * 10.0 ** rng.integers(-300, 300, size=d)
+        events = []
+        for _ in range(int(rng.integers(0, 5))):
+            kind = int(rng.integers(0, 4))
+            if kind == 0:
+                events.append({"wait": f"{rng.uniform(0, 3)!r} kepler" if rng.integers(0, 2)
+                               else float(rng.uniform(0, 1e7))})
+            elif kind == 1:
+                events.append({"shift": int(rng.integers(-d, d))})
+            elif kind == 2:
+                events.append({"pulse": {"fwhm": f"{rng.uniform(0.01, 0.1)!r} kepler",
+                                         "area": "pi" if rng.integers(0, 2) else -0.0,
+                                         "target": str(rng.choice(["g", "e"])),
+                                         "slot": int(rng.integers(0, d)),
+                                         "phase": float(rng.normal())}})
+            else:
+                U = haar_unitary(d, rng)
+                events.append({"gate": {"unitary": [[[float(u.real), float(u.imag)] for u in row]
+                                                    for row in U],
+                                        "align_revival": bool(rng.integers(0, 2))}})
+        cfg = {"manifold": {"nbar": int(rng.integers(20, 5000)), "d": d},
+               "spectrum": str(rng.choice(list(SPECTRUM_MODES))),
+               "initial_state": {"amplitudes": {"basis": "packet",
+                                                "values": [[float(x), math.inf] for x in z]}},
+               "events": events,
+               "outputs": {"trace_points": int(rng.integers(0, 100)),
+                           "observables": ["autocorrelation"] if rng.integers(0, 2) else []}}
+        texts.append(yaml.safe_dump(cfg, sort_keys=bool(rng.integers(0, 2)),
+                                    default_flow_style=[None, False, True][rng.integers(0, 3)]))
+    return texts
+
+
+@pytest.mark.parametrize("base", [yaml.SafeLoader] + (
+    [yaml.CSafeLoader] if yaml.__with_libyaml__ else []), ids=lambda b: b.__name__)
+def test_config_loader_matches_safe_load(base):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    texts = re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.M | re.S)
+    assert texts
+    texts += _seeded_configs(50, seed=11)
+    # an explicit key may override one a merge key (<<) brings in
+    texts.append("base: &b {nbar: 180, d: 4}\nmanifold:\n  <<: *b\n  d: 3\n")
+    loader = type("Loader", (cli._UniqueKeys, base), {})
+    for text in texts:
+        got, want = yaml.load(text, Loader=loader), yaml.safe_load(text)
+        assert repr(got) == repr(want)      # values, types and key order
 
 
 def test_cli_run_parallel(capsys):
@@ -454,6 +537,32 @@ def test_cli_compile_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", ["non-utf8", "directory"])
+@pytest.mark.parametrize("entry", ["run", "gate-file", "compile", "verify"])
+def test_cli_unreadable_input_is_config_error(tmp_path, capsys, entry, bad):
+    # each once ended in a UnicodeDecodeError or IsADirectoryError traceback
+    path = tmp_path / "input"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"caf\xe9\n")       # Latin-1
+    if entry == "run":
+        argv = ["run", str(path)]
+    elif entry == "gate-file":
+        cfg = tmp_path / "gate.yaml"
+        cfg.write_text(yaml.safe_dump(_decl(d=4, initial_state={"packet": 0},
+                                            events=[{"gate": {"file": str(path)}}])))
+        argv = ["run", str(cfg)]
+    elif entry == "compile":
+        argv = ["compile", str(path)]
+    else:
+        ufile = tmp_path / "u.json"
+        _dump_unitary(ufile, np.eye(4))
+        argv = ["verify", str(path), str(ufile)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
 def test_cli_verify_dimension_mismatch(tmp_path, capsys):
     spec = ManifoldSpec(nbar=180, d=4)
     U = random_two_level_unitary(spec, 3)
@@ -474,6 +583,28 @@ def _compiled_schedule(tmp_path):
     sfile = tmp_path / "sched.json"
     assert main(["compile", str(ufile), "-o", str(sfile)]) == 0
     return sfile, ufile, json.loads(sfile.read_text())
+
+
+def test_cli_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once per process; options of one call must
+    # not leak into the next
+    cfg = tmp_path / "demo.yaml"
+    cfg.write_text(yaml.safe_dump(_decl(d=4, initial_state={"packet": 0},
+                                        events=[{"wait": "0.5 kepler"}],
+                                        outputs={"trace_points": 5})))
+    trace = tmp_path / "out.csv"
+    assert main(["run", str(cfg), "--trace", str(trace)]) == 0
+    trace.unlink()
+    assert main(["run", str(cfg)]) == 0
+    assert list(tmp_path.glob("*.csv")) == []
+
+    sfile, ufile, _ = _compiled_schedule(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(sfile), str(ufile),
+                 "--pulses", "ideal", "--spectrum", "taylor1"]) == 0
+    assert "PASS verify (ideal pulses, taylor1 spectrum)" in capsys.readouterr().out
+    main(["verify", str(sfile), str(ufile)])
+    assert "verify (full pulses, exact spectrum)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("field, value", [
