@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import ManifoldSpec, detunings
+from .manifold import ManifoldSpec, detunings, symmetric_labels
 
 NORM_SLACK = 1e-10
 
@@ -86,10 +86,7 @@ def energy_to_packet_matrix(d: int) -> np.ndarray:
     F[k, j] = exp(+i 2 pi j k / d) / sqrt(d) over the symmetric label
     ranges.  Rows/columns follow ascending k/j order.
     """
-    if d % 2 == 0:
-        labels = np.arange(-d // 2 + 1, d // 2 + 1)
-    else:
-        labels = np.arange(-(d - 1) // 2, (d - 1) // 2 + 1)
+    labels = symmetric_labels(d)
     kk, jj = np.meshgrid(labels, labels, indexing="ij")
     return np.exp(2j * np.pi * jj * kk / d) / np.sqrt(d)
 

@@ -49,23 +49,6 @@ def evolution_kernel(spec: ManifoldSpec, t: float, mode: str = "exact") -> Evolu
     return EvolutionKernel(spec=spec, t=t, mode=mode, entries=phases.mean(axis=0))
 
 
-def apply_kernel(kernel: EvolutionKernel, bt: np.ndarray) -> np.ndarray:
-    """Evolve packet amplitudes bt(0) -> bt(t) by circular convolution."""
-    return kernel.as_matrix() @ np.asarray(bt, dtype=complex)
-
-
-def propagate_free(b_energy: np.ndarray, spec: ManifoldSpec, dt: float,
-                   mode: str = "exact") -> np.ndarray:
-    """Advance energy amplitudes by free flight dt (phases only)."""
-    w = detunings(spec, mode)
-    return np.asarray(b_energy, dtype=complex) * np.exp(-1j * w * dt)
-
-
-def shift_gate(bt: np.ndarray, n: int) -> np.ndarray:
-    """Cyclic SHIFT by n slots: bt'_k = bt_{k-n mod d}."""
-    return np.roll(np.asarray(bt, dtype=complex), n)
-
-
 def shift_matrix(d: int, n: int) -> np.ndarray:
     """Matrix of the SHIFT-by-n gate on packet amplitude vectors."""
     return np.roll(np.eye(d, dtype=complex), n, axis=0)
@@ -76,7 +59,7 @@ def shift_fidelity(spec: ManifoldSpec, n: int, mode: str = "exact") -> float:
 
     Starts from the k = 0 packet, evolves for n slot times under the
     given spectrum model, and compares with the ideally shifted packet:
-    |<shift_gate(bt), evolved bt>|^2.  Equals 1 exactly in 'taylor1'
+    |<SHIFT bt, evolved bt>|^2.  Equals 1 exactly in 'taylor1'
     mode; under the exact spectrum the deficit is the accumulated
     dispersion loss (about 5 percent over one Kepler period at
     nbar = 180, d = 8).
@@ -85,8 +68,8 @@ def shift_fidelity(spec: ManifoldSpec, n: int, mode: str = "exact") -> float:
     kern = evolution_kernel(spec, n * ts.t_kepler / spec.d, mode)
     bt0 = np.zeros(spec.d, dtype=complex)
     bt0[spec.slot_index(0)] = 1.0
-    evolved = apply_kernel(kern, bt0)
-    ideal = shift_gate(bt0, n)
+    evolved = kern.as_matrix() @ bt0
+    ideal = shift_matrix(spec.d, n) @ bt0
     return float(abs(np.vdot(ideal, evolved)) ** 2)
 
 

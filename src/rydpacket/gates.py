@@ -51,6 +51,7 @@ from .basis import energy_to_packet_matrix, packet_amplitudes_at
 from .constants import AU_TIME_NS, LN2
 from .manifold import ManifoldSpec, detunings, time_scales
 from .pulse import (
+    MAX_PULSE_AREA,
     PulseSpec,
     SimulationState,
     integrate_pulse,
@@ -68,6 +69,17 @@ DEFAULT_GATE_FWHM_FACTOR = 0.25 * LN2   # times t_kepler / d
 # two-level factors
 
 
+def _unitary(U, d: int) -> np.ndarray:
+    """U as a complex d x d array; ValueError unless it is one and is
+    unitary within UNITARITY_TOL."""
+    U = np.asarray(U, dtype=complex)
+    if U.shape != (d, d):
+        raise ValueError(f"expected a {d}x{d} matrix")
+    if not np.max(np.abs(U @ U.conj().T - np.eye(d))) <= UNITARITY_TOL:
+        raise ValueError("matrix is not unitary within 1e-9")
+    return U
+
+
 @dataclass(frozen=True)
 class TwoLevelOp:
     """A 2x2 unitary acting on slot pair (k, k2), identity elsewhere."""
@@ -79,12 +91,7 @@ class TwoLevelOp:
     def __post_init__(self):
         if self.k == self.k2:
             raise ValueError("two-level op needs distinct slots")
-        u = np.asarray(self.u2, dtype=complex)
-        object.__setattr__(self, "u2", u)
-        if u.shape != (2, 2):
-            raise ValueError("u2 must be 2x2")
-        if not np.max(np.abs(u @ u.conj().T - np.eye(2))) <= UNITARITY_TOL:
-            raise ValueError("u2 not unitary")
+        object.__setattr__(self, "u2", _unitary(self.u2, 2))
 
     def embed(self, spec: ManifoldSpec) -> np.ndarray:
         U = np.eye(spec.d, dtype=complex)
@@ -113,11 +120,7 @@ def decompose_unitary(U: np.ndarray, spec: ManifoldSpec) -> list[TwoLevelOp]:
     machine precision, with at most d(d-1)/2 + ceil(d/2) factors.
     """
     d = spec.d
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} matrix")
-    if not np.max(np.abs(U @ U.conj().T - np.eye(d))) <= UNITARITY_TOL:
-        raise ValueError("matrix is not unitary within 1e-9")
+    U = _unitary(U, d)
 
     ks = spec.k_values
     M = U.copy()
@@ -366,13 +369,18 @@ def _json_int(obj: dict, key: str) -> int:
 def schedule_from_json(text: str) -> GateSchedule:
     """Parse schedule JSON.  Malformed fields raise ValueError, KeyError
     or TypeError: nbar and d must make a valid ManifoldSpec, the pulse
-    FWHM and peak Rabi frequency must be positive, every number finite,
-    every slot on the manifold and every target 'g' or 'e'."""
+    FWHM and peak Rabi frequency must be positive, the pulse area at
+    most MAX_PULSE_AREA, every number finite, every slot on the
+    manifold and every target 'g' or 'e'."""
     doc = json.loads(text)
     spec = ManifoldSpec(nbar=_json_int(doc, "nbar"), d=_json_int(doc, "d"))
     fwhm, rabi = _json_number(doc, "pulse_fwhm_au"), _json_number(doc, "peak_rabi_au")
     if not (fwhm > 0 and rabi > 0):
         raise ValueError("pulse_fwhm_au and peak_rabi_au must be positive")
+    pi_peak = pi_pulse_peak_rabi(spec, fwhm)
+    if not rabi <= MAX_PULSE_AREA / math.pi * pi_peak:
+        raise ValueError(f"peak_rabi_au {rabi!r} gives a pulse area beyond +-100 pi "
+                         f"(a pi pulse takes {pi_peak!r})")
     prims: list = []
     for p in doc["primitives"]:
         kind = p["type"]
@@ -453,9 +461,9 @@ class _Compiler:
         c4 = next_core_crossing(self.spec, op.k, self.t + self.half)
         self._pulse_at(c4, op.k, "g")
 
-    def pad_to_steps(self, multiple: int) -> None:
-        """Wait until the clock is a whole multiple of `multiple` steps."""
-        span = multiple * self.step
+    def pad_to_kepler(self) -> None:
+        """Wait until the clock is a whole number of Kepler periods."""
+        span = self.spec.d * self.step
         t_end = math.ceil(self.t / span - 1e-9) * span
         if t_end > self.t:
             self.prims.append(Wait(duration=t_end - self.t))
@@ -484,7 +492,6 @@ def compile_unitary(
     U: np.ndarray,
     spec: ManifoldSpec,
     pulse_fwhm: float | None = None,
-    align_revival: bool = False,
 ) -> GateSchedule:
     """Compile a d x d unitary on the slot amplitudes to a pulse program.
 
@@ -492,16 +499,10 @@ def compile_unitary(
     flight.  Everything else goes through the two-level decomposition;
     consecutive factors on the same slot pair are fused first.  Each
     fragment is padded to a whole number of Kepler periods so fragments
-    concatenate as plain matrix products; align_revival instead pads the
-    finished schedule to a whole number of revival times, which trades
-    extra flight time for re-aligned quadratic dispersion phases.
+    concatenate as plain matrix products.
     """
     d = spec.d
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} matrix")
-    if not np.max(np.abs(U @ U.conj().T - np.eye(d))) <= UNITARITY_TOL:
-        raise ValueError("matrix is not unitary within 1e-9")
+    U = _unitary(U, d)
 
     ts = time_scales(spec)
     if pulse_fwhm is None:
@@ -520,9 +521,7 @@ def compile_unitary(
     comp = _Compiler(spec, pulse_fwhm)
     for op in merge_same_pair(decompose_unitary(U, spec)):
         comp.add_fragment(op)
-        comp.pad_to_steps(d)
-    if align_revival:
-        comp.pad_to_steps(d * int(round(ts.t_revival / ts.t_kepler)))
+        comp.pad_to_kepler()
     sched.primitives = comp.prims
     return sched
 
@@ -715,10 +714,11 @@ def process_fidelity(
     """Average state fidelity of the schedule against a target unitary.
 
     Mean of |<U psi, simulated psi>|^2 over the deterministic probe set.
-    An empty schedule against the identity gives exactly 1.
+    An empty schedule against the identity gives exactly 1.  A target
+    that is not a d x d unitary (within 1e-9) raises ValueError.
     """
     spec = schedule.spec
-    U = np.asarray(U_target, dtype=complex)
+    U = _unitary(U_target, spec.d)
     M, t_end = schedule_operator(schedule, mode, pulses)
     F = energy_to_packet_matrix(spec.d)
     probes = np.stack(probe_states(spec), axis=1)

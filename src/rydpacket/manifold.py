@@ -24,6 +24,12 @@ from .constants import AU_TIME_NS, TWO_PI
 SPECTRUM_MODES = ("exact", "taylor1", "taylor2", "taylor3")
 
 
+def symmetric_labels(d: int) -> np.ndarray:
+    """The d labels -((d-1)//2) ... d//2 in ascending order: the level
+    offsets j and the packet slots k of a d-level manifold."""
+    return np.arange(-((d - 1) // 2), d // 2 + 1)
+
+
 @dataclass(frozen=True)
 class ManifoldSpec:
     """Defining parameters of the level manifold."""
@@ -42,9 +48,7 @@ class ManifoldSpec:
     @property
     def j_values(self) -> np.ndarray:
         """Level offsets in ascending order, always containing 0."""
-        if self.d % 2 == 0:
-            return np.arange(-self.d // 2 + 1, self.d // 2 + 1)
-        return np.arange(-(self.d - 1) // 2, (self.d - 1) // 2 + 1)
+        return symmetric_labels(self.d)
 
     @property
     def k_values(self) -> np.ndarray:

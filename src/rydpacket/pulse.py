@@ -60,11 +60,16 @@ import numpy as np
 
 from .basis import energy_to_packet_matrix, packet_amplitudes_at
 from .constants import LN2, TWO_PI
+from .evolution import TraceRecord
 from .manifold import ManifoldSpec, detunings, time_scales
 
 TRUNCATION_SIGMAS = 4.0        # envelope support half-width, in sigma
 NORM_TOLERANCE = 1e-8          # allowed norm drift per integration
 PROPAGATOR_CACHE_SIZE = 256    # pulse shapes whose U0 is kept per process
+# Largest |area| of a pulse given as input (declarative pulses, schedule
+# JSON), in radians: 50 Rabi cycles.  Far larger areas overflow the
+# integrator or take it millions of steps.
+MAX_PULSE_AREA = 100.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,6 @@ class RabiProfile:
         F = energy_to_packet_matrix(self.spec.d)
         return F.conj() @ self.omega_j.astype(complex)
 
-    def dft_at(self, k: int) -> complex:
-        return complex(self.dft[self.spec.slot_index(k)])
-
 
 def rabi_profile(spec: ManifoldSpec, omega_ref: float) -> RabiProfile:
     """Rabi frequencies Omega_j = omega_ref ((nbar+j)/nbar)^(-3/2)."""
@@ -168,7 +170,6 @@ class PulseReport:
     bandwidth_ratio: float           # spectral_hwhm / (d / t_kepler)
     bandwidth_ok: bool               # ratio within a factor of 2 of unity
     time_bandwidth_product: float    # tau_p * spectral_fwhm (= 4 ln2 / pi, exact)
-    kepler_regime_ok: bool
 
 
 def validate_pulse(spec: ManifoldSpec, pulse: PulseSpec) -> PulseReport:
@@ -196,7 +197,6 @@ def validate_pulse(spec: ManifoldSpec, pulse: PulseSpec) -> PulseReport:
         bandwidth_ratio=ratio,
         bandwidth_ok=0.5 <= ratio <= 2.0,
         time_bandwidth_product=pulse.fwhm * fwhm_freq,
-        kepler_regime_ok=spec.kepler_regime_ok,
     )
 
 
@@ -257,12 +257,6 @@ class SimulationState:
             np.sqrt(abs(self.b_g) ** 2 + abs(self.b_e) ** 2 + np.sum(np.abs(self.b_energy) ** 2))
         )
 
-    def advance(self, dt: float) -> None:
-        """Free flight: the clock moves, the slow amplitudes do not."""
-        if dt < 0:
-            raise ValueError("cannot advance backwards")
-        self.t += dt
-
     def packet_amplitudes(self, mode: str = "exact", aligned: bool = False) -> np.ndarray:
         """Manifold packet amplitudes at the current clock time.
 
@@ -320,8 +314,6 @@ def integrate_pulse(
 
     if n_trace <= 0:
         return out
-
-    from .evolution import TraceRecord
 
     ts = np.linspace(pulse.t_start, pulse.t_end, n_trace)
     Y = sol.sol(ts)

@@ -37,7 +37,6 @@ from .basis import (
 from .constants import AU_TIME_NS, LN2, TIME_UNITS
 from .evolution import (
     TraceRecord,
-    apply_kernel,
     autocorrelation,
     evolution_kernel,
     find_autocorr_peak,
@@ -58,6 +57,7 @@ from .gates import (
 )
 from .manifold import SPECTRUM_MODES, ManifoldSpec, detunings, time_scales
 from .pulse import (
+    MAX_PULSE_AREA,
     PulseSpec,
     SimulationState,
     core_rabi_dft,
@@ -80,10 +80,6 @@ class ScenarioError(RuntimeError):
 # quantity and config parsing
 
 MANIFOLD_UNITS = ("kepler", "revival", "superrevival")
-# Largest |area| of a declarative pulse, in radians (50 Rabi cycles); a
-# peak_rabi is held to the same area.  Far larger areas overflow the
-# pulse integrator or take it millions of steps.
-MAX_PULSE_AREA = 100.0 * math.pi
 
 
 def parse_quantity(value, where: str, spec: ManifoldSpec | None = None) -> float:
@@ -533,9 +529,8 @@ def _run_kernel_identity(params: dict) -> ScenarioResult:
         t = float(rng.uniform(0.0, 2.0 * ts.t_revival))
         ker = evolution_kernel(spec, t)
         direct = packet_amplitudes_at(F.conj().T @ bt0, spec, t)
-        conv = apply_kernel(ker, bt0)
-        worst = max(worst, float(np.max(np.abs(direct - conv))))
         M = ker.as_matrix()
+        worst = max(worst, float(np.max(np.abs(direct - M @ bt0))))
         worst_unitary = max(worst_unitary, float(np.max(np.abs(
             M @ M.conj().T - eye))))
     u_step = evolution_kernel(spec, ts.t_kepler / spec.d).entries
@@ -941,16 +936,13 @@ def _parse_pulse_event(sub: dict, spec: ManifoldSpec, clock: float, where: str) 
 
 
 def _parse_gate_event(sub: dict, spec: ManifoldSpec, where: str):
-    _check_keys(sub, {"unitary", "file", "align_revival"}, where)
+    _check_keys(sub, {"unitary", "file"}, where)
     if ("unitary" in sub) == ("file" in sub):
         raise ConfigError(f"{where}: give exactly one of unitary, file")
     U = (unitary_from_obj(sub["unitary"]) if "unitary" in sub
          else load_unitary_file(sub["file"]))
-    align = sub.get("align_revival", False)
-    if not isinstance(align, bool):
-        raise ConfigError(f"{where}.align_revival: expected a boolean")
     try:
-        return compile_unitary(U, spec, align_revival=align)
+        return compile_unitary(U, spec)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from None
 

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from rydpacket import ManifoldSpec, shift_matrix, time_scales
-from rydpacket.basis import energy_to_packet_matrix, packet_to_energy_matrix
+from rydpacket.basis import energy_to_packet_matrix, packet_amplitudes_at, packet_to_energy_matrix
 from rydpacket.evolution import (
     TraceRecord,
-    apply_kernel,
     autocorrelation,
     evolution_kernel,
     find_autocorr_peak,
-    propagate_free,
     revival_scan,
     shift_fidelity,
-    shift_gate,
 )
 
 # frozen reference values, nbar = 180, d = 8, exact spectrum
@@ -46,9 +43,9 @@ def test_kernel_matches_direct_propagation(t_frac):
     t = t_frac * ts.t_kepler
     b = _random_energy(42, spec.d)
     F = energy_to_packet_matrix(spec.d)
-    direct = F @ propagate_free(b, spec, t)
+    direct = packet_amplitudes_at(b, spec, t)
     kern = evolution_kernel(spec, t)
-    np.testing.assert_allclose(apply_kernel(kern, F @ b), direct, atol=1e-12)
+    np.testing.assert_allclose(kern.as_matrix() @ (F @ b), direct, atol=1e-12)
 
 
 def test_as_matrix_is_circulant_and_applies():
@@ -60,8 +57,10 @@ def test_as_matrix_is_circulant_and_applies():
     for i in range(d):
         for j in range(d):
             assert M[i, j] == kern.entries[(i - j) % d]
+    # bt_k(t) = sum_m entries[m] bt_{k-m}(0): a circular convolution
     bt = energy_to_packet_matrix(d) @ _random_energy(7, d)
-    np.testing.assert_allclose(M @ bt, apply_kernel(kern, bt), atol=1e-13)
+    conv = sum(kern.entries[m] * np.roll(bt, m) for m in range(d))
+    np.testing.assert_allclose(M @ bt, conv, atol=1e-13)
     # unitary: free flight conserves probability
     np.testing.assert_allclose(M @ M.conj().T, np.eye(d), atol=1e-12)
 
@@ -75,7 +74,7 @@ def test_taylor1_integer_steps_are_exact_shifts(n):
     expect[n % spec.d] = 1.0
     np.testing.assert_allclose(np.abs(kern.entries), expect, atol=1e-12)
     bt = energy_to_packet_matrix(spec.d) @ _random_energy(3, spec.d)
-    np.testing.assert_allclose(apply_kernel(kern, bt), np.roll(bt, n), atol=1e-12)
+    np.testing.assert_allclose(kern.as_matrix() @ bt, np.roll(bt, n), atol=1e-12)
 
 
 def test_one_step_weight_frozen():
@@ -97,7 +96,7 @@ def test_shift_gate_and_matrix_agree():
     d = 8
     bt = energy_to_packet_matrix(d) @ _random_energy(9, d)
     for n in (-3, 0, 1, 5, 11):
-        np.testing.assert_allclose(shift_matrix(d, n) @ bt, shift_gate(bt, n), atol=0)
+        np.testing.assert_allclose(shift_matrix(d, n) @ bt, np.roll(bt, n), atol=0)
     np.testing.assert_allclose(
         np.linalg.matrix_power(shift_matrix(d, 1), 5), shift_matrix(d, 5), atol=0)
     np.testing.assert_allclose(shift_matrix(d, d), np.eye(d), atol=0)
@@ -113,13 +112,6 @@ def test_autocorrelation_frozen_decay():
     # harmonic spectrum has no dispersion at all
     assert autocorrelation(b, spec, ts.t_kepler, mode="taylor1") == pytest.approx(
         1.0, abs=1e-10)
-
-
-def test_propagate_free_is_pure_phase():
-    spec = _spec()
-    b = _random_energy(21, spec.d)
-    out = propagate_free(b, spec, 1.7e6)
-    np.testing.assert_allclose(np.abs(out), np.abs(b), atol=1e-14)
 
 
 def test_revival_peak_frozen():

@@ -94,12 +94,12 @@ def test_rabi_profile_scaling():
 def test_rabi_dft_frozen():
     spec = _spec()
     prof = rabi_profile(spec, 1.0)
-    d0 = prof.dft_at(0)
+    d0 = prof.dft[spec.slot_index(0)]
     assert d0.imag == pytest.approx(0.0, abs=1e-13)
     assert d0.real == pytest.approx(CORE_DFT_UNIT, rel=1e-12)
     assert core_rabi_dft(spec, 1.0) == pytest.approx(CORE_DFT_UNIT, rel=1e-12)
     assert core_rabi_dft(spec, 3.0) == pytest.approx(3.0 * CORE_DFT_UNIT, rel=1e-12)
-    ratio = abs(prof.dft_at(1)) / d0.real
+    ratio = abs(prof.dft[spec.slot_index(1)]) / d0.real
     assert ratio == pytest.approx(SIDEBAND_RATIO, rel=1e-12)
 
 
@@ -193,13 +193,6 @@ def test_packet_amplitudes_at_nonzero_clock():
     assert state.t == t
     # the co-moving frame differs once the flight phases are nonzero
     assert not np.allclose(state.packet_amplitudes(aligned=True), bt, atol=1e-6)
-
-
-def test_advance_rejects_negative():
-    spec = _spec()
-    state = SimulationState(spec=spec, b_energy=np.zeros(spec.d, dtype=complex), b_g=1.0)
-    with pytest.raises(ValueError):
-        state.advance(-1.0)
 
 
 def test_integrate_pulse_rejects_late_clock():

@@ -263,6 +263,21 @@ def test_declarative_gate_event():
     assert res.observables["pop_g"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_align_revival_is_gone(tmp_path, capsys):
+    # padding a gate to whole revival times was an option of the config
+    # format and of `compile`; both now reject it
+    cfg = tmp_path / "gate.yaml"
+    cfg.write_text(yaml.safe_dump(_decl(d=4, initial_state={"packet": 0}, events=[
+        {"gate": {"unitary": np.eye(4).tolist(), "align_revival": True}}])))
+    assert main(["run", str(cfg)]) == 2
+    assert "'align_revival'" in capsys.readouterr().err
+    ufile = tmp_path / "u4.json"
+    _dump_unitary(ufile, np.eye(4))
+    with pytest.raises(SystemExit) as exit_:
+        main(["compile", str(ufile), "--align-revival"])
+    assert exit_.value.code == 2
+
+
 def test_declarative_gate_needs_empty_storage():
     spec = ManifoldSpec(nbar=180, d=8)
     ts = time_scales(spec)
@@ -570,10 +585,24 @@ def test_cli_verify_dimension_mismatch(tmp_path, capsys):
     _dump_unitary(ufile, U)
     sfile = tmp_path / "sched.json"
     assert main(["compile", str(ufile), "-o", str(sfile)]) == 0
-    u2file = tmp_path / "u2.json"
-    _dump_unitary(u2file, np.eye(2))
+    # a target of the wrong size, or of the right size but not unitary:
+    # 2 U once printed process_fidelity = 3.99 and PASS, and the zero
+    # matrix passed a --min-fidelity 0 check
+    bad = tmp_path / "bad.json"
+    for target in (np.eye(2), 2.0 * U, np.zeros((4, 4))):
+        _dump_unitary(bad, target)
+        capsys.readouterr()
+        assert main(["verify", str(sfile), str(bad), "--min-fidelity", "0"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+def test_cli_verify_rejects_min_fidelity_outside_unit_interval(tmp_path, capsys, value):
+    # nan once printed threshold = nan and FAIL with exit 1
+    sfile, ufile, _ = _compiled_schedule(tmp_path)
     capsys.readouterr()
-    assert main(["verify", str(sfile), str(u2file)]) == 2
+    assert main(["verify", str(sfile), str(ufile), "--min-fidelity", value]) == 2
+    assert "--min-fidelity" in capsys.readouterr().err
 
 
 def _compiled_schedule(tmp_path):
@@ -609,10 +638,14 @@ def test_cli_parser_carries_no_state_between_calls(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("nbar", 2), ("d", 1), ("pulse_fwhm_au", 0.0), ("peak_rabi_au", math.nan),
-])
+    # pulse areas beyond 100 pi once ended in a traceback from the pulse
+    # integrator: 300 pi pulses drift off unitary, 1e300 overflows
+    ("peak_rabi_au", lambda calibrated: 300.0 * calibrated), ("peak_rabi_au", 1e300),
+], ids=["nbar-2", "d-1", "pulse_fwhm_au-0.0", "peak_rabi_au-nan",
+        "peak_rabi_au-300pi", "peak_rabi_au-1e300"])
 def test_cli_verify_rejects_bad_schedule_header(tmp_path, capsys, field, value):
     sfile, ufile, doc = _compiled_schedule(tmp_path)
-    doc[field] = value
+    doc[field] = value(doc[field]) if callable(value) else value
     sfile.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", str(sfile), str(ufile)]) == 2
