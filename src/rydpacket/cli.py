@@ -24,6 +24,7 @@ import yaml
 
 from .gates import compile_unitary, process_fidelity, schedule_from_json, schedule_to_json
 from .manifold import SPECTRUM_MODES, ManifoldSpec
+from .pulse import check_input_fwhm
 from .scenarios import (
     REGISTRY,
     ConfigError,
@@ -175,6 +176,10 @@ def _cmd_compile(args) -> int:
     fwhm = None
     if args.fwhm is not None:
         fwhm = parse_quantity(args.fwhm, "--fwhm", spec)
+        try:
+            check_input_fwhm(spec, fwhm)
+        except ValueError as e:
+            raise ConfigError(f"--fwhm: {e}") from None
     try:
         schedule = compile_unitary(U, spec, pulse_fwhm=fwhm)
     except ValueError as e:

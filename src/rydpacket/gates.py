@@ -30,9 +30,14 @@ apply it to one state or to the stacked probe set.  run_program is the
 one executor for timed programs: a list of waits, single pulses and
 gate schedules run in order on a state's clock, optionally sampled
 into one trace.  Declarative configs and the scenarios lower onto it.
-All manifold pulses of a schedule share one shape, so in the full
-model verifying a gate costs one matrix solve per distinct pulse shape
-(cached across schedules), not one per pulse per probe.
+All manifold pulses of a schedule share one shape and are resonant, so
+in both pulse models every pulse is one (d+1) x (d+1) kernel K
+conjugated by its pulse frame Q = diag(1, e^{i phi} e^{-i w t_c}):
+the cached full-model propagator of the shape (one matrix solve per
+distinct shape, shared across schedules), or the ideal storage <->
+core-slot swap at t = 0.  schedule_operator builds every pulse's frame
+in one array operation, folds each run of storage pulses into one
+2 x 2, and then costs one small matrix product per pulse.
 
 The default gate pulse FWHM is 0.25 ln2 t_kepler / d, half the
 bandwidth-limit demonstration value: transfer to slots adjacent to the
@@ -41,9 +46,10 @@ pulse keeps the per-pulse neighbor loss near 1 percent, which is what
 lets a compiled fragment stay above 0.9 process fidelity at nbar = 180.
 """
 
+import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,6 +60,7 @@ from .pulse import (
     MAX_PULSE_AREA,
     PulseSpec,
     SimulationState,
+    check_input_fwhm,
     integrate_pulse,
     pi_pulse_peak_rabi,
     pulse_propagator,
@@ -230,6 +237,8 @@ class ManifoldPiPulse:
     def __post_init__(self):
         if self.target not in ("g", "e"):
             raise ValueError(f"pulse target must be 'g' or 'e', got {self.target!r}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"pulse phase must be finite, got {self.phase!r}")
 
 
 @dataclass(frozen=True)
@@ -253,18 +262,27 @@ class StoragePulse:
     phase_g: float = 0.0
     phase_e: float = 0.0
 
-    def matrix(self) -> np.ndarray:
+    def __post_init__(self):
+        values = (self.theta, self.phi, self.detuning_area, self.phase_g, self.phase_e)
+        if not all(map(math.isfinite, values)):
+            name, v = next((f.name, v) for f, v in zip(fields(self), values)
+                           if not math.isfinite(v))
+            raise ValueError(f"storage pulse {name} must be finite, got {v!r}")
+
+    def _entries(self) -> tuple[complex, complex, complex, complex]:
+        """(u00, u01, u10, u11) of U, as scalars."""
         chi, th = self.detuning_area, self.theta
+        g, e = cmath.exp(1j * self.phase_g), cmath.exp(1j * self.phase_e)
         eff = math.hypot(th, chi)
         if eff == 0.0:
-            u = np.eye(2, dtype=complex)
-        else:
-            m = np.array(
-                [[chi, th * np.exp(1j * self.phi)], [th * np.exp(-1j * self.phi), -chi]],
-                dtype=complex,
-            )
-            u = math.cos(eff / 2.0) * np.eye(2) + 1j * math.sin(eff / 2.0) * m / eff
-        return np.diag([np.exp(1j * self.phase_g), np.exp(1j * self.phase_e)]) @ u
+            return g, 0j, 0j, e
+        c, s = math.cos(eff / 2.0), 1j * math.sin(eff / 2.0) / eff
+        off = s * th * cmath.exp(1j * self.phi)
+        return (g * (c + s * chi), g * off,
+                e * (s * th * cmath.exp(-1j * self.phi)), e * (c - s * chi))
+
+    def matrix(self) -> np.ndarray:
+        return np.array(self._entries(), dtype=complex).reshape(2, 2)
 
 
 Primitive = Wait | ManifoldPiPulse | StoragePulse
@@ -313,43 +331,55 @@ class GateSchedule:
 # serialization (JSON; atomic-unit fields are authoritative)
 
 
+def _json_scalar(v) -> str:
+    """v as json.dumps writes it: finite floats and ints by their repr."""
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return int.__repr__(v)
+    return json.dumps(v)
+
+
 def schedule_to_json(schedule: GateSchedule) -> str:
+    """The schedule as JSON text, laid out as json.dumps(doc, indent=2)
+    lays out the document (written directly: json's indented encoder is
+    pure Python)."""
+    num = _json_scalar
     prims = []
     for p in schedule.primitives:
         if isinstance(p, Wait):
-            prims.append({
-                "type": "wait",
-                "duration_au": p.duration,
-                "duration_si_ns": p.duration * AU_TIME_NS,
-            })
+            prims.append(
+                '    {\n      "type": "wait",\n'
+                f'      "duration_au": {num(p.duration)},\n'
+                f'      "duration_si_ns": {num(p.duration * AU_TIME_NS)}\n    }}')
         elif isinstance(p, ManifoldPiPulse):
-            prims.append({
-                "type": "manifold_pi_pulse",
-                "slot": p.slot,
-                "target": p.target,
-                "phase": p.phase,
-            })
+            prims.append(
+                '    {\n      "type": "manifold_pi_pulse",\n'
+                f'      "slot": {num(p.slot)},\n'
+                f'      "target": {num(p.target)},\n'
+                f'      "phase": {num(p.phase)}\n    }}')
         elif isinstance(p, StoragePulse):
-            prims.append({
-                "type": "storage_pulse",
-                "theta": p.theta,
-                "phi": p.phi,
-                "detuning_area": p.detuning_area,
-                "phase_g": p.phase_g,
-                "phase_e": p.phase_e,
-            })
+            prims.append(
+                '    {\n      "type": "storage_pulse",\n'
+                f'      "theta": {num(p.theta)},\n'
+                f'      "phi": {num(p.phi)},\n'
+                f'      "detuning_area": {num(p.detuning_area)},\n'
+                f'      "phase_g": {num(p.phase_g)},\n'
+                f'      "phase_e": {num(p.phase_e)}\n    }}')
         else:
             raise TypeError(f"unknown primitive {p!r}")
-    doc = {
-        "nbar": schedule.nbar,
-        "d": schedule.d,
-        "pulse_fwhm_au": schedule.pulse_fwhm,
-        "pulse_fwhm_si_ns": schedule.pulse_fwhm * AU_TIME_NS,
-        "peak_rabi_au": schedule.peak_rabi,
-        "recorded_global_phase": schedule.recorded_global_phase,
-        "primitives": prims,
-    }
-    return json.dumps(doc, indent=2)
+    listing = "[\n" + ",\n".join(prims) + "\n  ]" if prims else "[]"
+    return (
+        "{\n"
+        f'  "nbar": {num(schedule.nbar)},\n'
+        f'  "d": {num(schedule.d)},\n'
+        f'  "pulse_fwhm_au": {num(schedule.pulse_fwhm)},\n'
+        f'  "pulse_fwhm_si_ns": {num(schedule.pulse_fwhm * AU_TIME_NS)},\n'
+        f'  "peak_rabi_au": {num(schedule.peak_rabi)},\n'
+        f'  "recorded_global_phase": {num(schedule.recorded_global_phase)},\n'
+        f'  "primitives": {listing}\n'
+        "}"
+    )
 
 
 def _json_number(obj: dict, key: str):
@@ -369,14 +399,16 @@ def _json_int(obj: dict, key: str) -> int:
 def schedule_from_json(text: str) -> GateSchedule:
     """Parse schedule JSON.  Malformed fields raise ValueError, KeyError
     or TypeError: nbar and d must make a valid ManifoldSpec, the pulse
-    FWHM and peak Rabi frequency must be positive, the pulse area at
-    most MAX_PULSE_AREA, every number finite, every slot on the
-    manifold and every target 'g' or 'e'."""
+    FWHM must lie within FWHM_RANGE_KEPLER Kepler periods, the peak Rabi
+    frequency must be positive, the pulse area at most MAX_PULSE_AREA,
+    every number finite, every slot on the manifold and every target
+    'g' or 'e'."""
     doc = json.loads(text)
     spec = ManifoldSpec(nbar=_json_int(doc, "nbar"), d=_json_int(doc, "d"))
     fwhm, rabi = _json_number(doc, "pulse_fwhm_au"), _json_number(doc, "peak_rabi_au")
-    if not (fwhm > 0 and rabi > 0):
-        raise ValueError("pulse_fwhm_au and peak_rabi_au must be positive")
+    check_input_fwhm(spec, fwhm)
+    if not rabi > 0:
+        raise ValueError("peak_rabi_au must be positive")
     pi_peak = pi_pulse_peak_rabi(spec, fwhm)
     if not rabi <= MAX_PULSE_AREA / math.pi * pi_peak:
         raise ValueError(f"peak_rabi_au {rabi!r} gives a pulse area beyond +-100 pi "
@@ -542,48 +574,76 @@ def schedule_operator(
     primitive.  Pulse centres and t_end come from schedule.clock(), so
     t_end is schedule.duration().  A Wait only advances the clock, a
     StoragePulse acts on rows (g, e), and a ManifoldPiPulse acts on
-    (its storage, levels): pulses='full' as the conjugated cached
-    propagator of the pulse shape (pulse.pulse_propagator),
-    pulses='ideal' as the instantaneous perfect swap of storage and
-    core slot at the pulse centre.
+    (its storage, levels).  A schedule's pulses are resonant, so in
+    either pulse model a pulse centred at t with phase phi acts as one
+    kernel K conjugated by the pulse frame, Q^-1 K Q with
+    Q = diag(1, e^{i phi} e^{-i w t}) (see the pulse module docstring).
+    K is the cached propagator U0 of the pulse shape
+    (pulse.pulse_propagator) for pulses='full', and the instantaneous
+    perfect swap of storage and core slot at t = 0 for pulses='ideal'.
     """
     if pulses not in ("full", "ideal"):
         raise ValueError(f"pulses must be 'full' or 'ideal', got {pulses!r}")
     spec = schedule.spec
     d = spec.d
     w = detunings(spec, mode)
-    shape = PulseSpec(fwhm=schedule.pulse_fwhm, peak_rabi=schedule.peak_rabi)
-    deltas = w + shape.carrier_detuning
     centers, t_end = schedule.clock()
-    centers = iter(centers)
-    core_row = energy_to_packet_matrix(d)[spec.slot_index(0)]
-    rows = {"g": np.r_[0, 2:d + 2], "e": np.r_[1, 2:d + 2]}   # (storage, levels) of M
-    U0 = None
     M = np.eye(d + 2, dtype=complex)
+    # M's rows are kept in (g, levels, e) order, so that a pulse on g acts
+    # on the view M[:-1], one on e on M[1:] (with K's storage row last)
+    # and a storage pulse on M[::d + 1]
+    views = {"g": M[:-1], "e": M[1:]}
+    storage = M[::d + 1]
+    steps = []          # (view, index into P or into runs) in schedule order
+    manifold, runs = [], []
     for prim in schedule.primitives:
-        if isinstance(prim, StoragePulse):
-            M[:2] = prim.matrix() @ M[:2]
-        elif isinstance(prim, ManifoldPiPulse):
-            center = next(centers)
-            ph = np.exp(1j * prim.phase)
-            if pulses == "ideal":
-                # b' = b + r^H (i ph* s - r b), s' = i ph r b, with r b the
-                # core-slot amplitude at the pulse centre
-                r = core_row * np.exp(-1j * w * center)
-                P = np.empty((d + 1, d + 1), dtype=complex)
-                P[0, 0] = 0.0
-                P[0, 1:] = 1j * ph * r
-                P[1:, 0] = 1j * np.conj(ph) * r.conj()
-                P[1:, 1:] = np.eye(d) - np.outer(r.conj(), r)
+        if isinstance(prim, ManifoldPiPulse):
+            steps.append((views[prim.target], len(manifold)))
+            manifold.append(prim)
+        elif isinstance(prim, StoragePulse):
+            # a run of storage pulses folds into one 2 x 2
+            if steps and steps[-1][0] is storage:
+                runs[-1] = _product2(prim._entries(), runs[-1])
             else:
-                if U0 is None:
-                    U0 = pulse_propagator(spec, shape, mode)
-                q = np.concatenate(([1.0], ph * np.exp(-1j * deltas * center)))
-                P = q.conj()[:, None] * U0 * q[None, :]
-            M[rows[prim.target]] = P @ M[rows[prim.target]]
+                steps.append((storage, len(runs)))
+                runs.append(prim._entries())
         elif not isinstance(prim, Wait):
             raise TypeError(f"unknown primitive {prim!r}")
-    return M, t_end
+    if manifold:
+        if pulses == "ideal":
+            # s' = i c.b, b' = b + c^H (i s - c.b), with c.b the core-slot
+            # amplitude of the levels b and s the storage amplitude
+            c = energy_to_packet_matrix(d)[spec.slot_index(0)]
+            K = np.empty((d + 1, d + 1), dtype=complex)
+            K[0, 0] = 0.0
+            K[0, 1:] = 1j * c
+            K[1:, 0] = 1j * c.conj()
+            K[1:, 1:] = np.eye(d) - np.outer(c.conj(), c)
+        else:
+            K = pulse_propagator(
+                spec, PulseSpec(fwhm=schedule.pulse_fwhm, peak_rabi=schedule.peak_rabi), mode)
+        on_e = np.array([p.target == "e" for p in manifold])
+        # each pulse's frame vector (1, e^{i phi} e^{-i w t}), in view order
+        q = np.ones((len(manifold), d + 2), dtype=complex)
+        q[:, 1:-1] = (np.exp(1j * np.array([p.phase for p in manifold]))[:, None]
+                      * np.exp(np.multiply.outer(centers, -1j * w)))
+        q = np.where(on_e[:, None], q[:, 1:], q[:, :-1])
+        # P[i] = Q^-1 K Q for pulse i
+        P = np.stack((K, np.roll(K, -1, axis=(0, 1))))[on_e.astype(int)]
+        P *= q.conj()[:, :, None]
+        P *= q[:, None, :]
+    S = np.array(runs, dtype=complex).reshape(-1, 2, 2)
+    for view, i in steps:
+        view[...] = (S[i] if view is storage else P[i]) @ view
+    order = np.r_[0, d + 1, 1:d + 1]
+    return M[np.ix_(order, order)], t_end
+
+
+def _product2(a, b):
+    """The 2 x 2 product a b of two matrices given as entry tuples
+    (u00, u01, u10, u11)."""
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
 
 
 class ProgramError(ValueError):

@@ -57,10 +57,10 @@ class ManifoldSpec:
 
     def slot_index(self, k: int) -> int:
         """Array position of slot label k."""
-        ks = self.k_values
-        if k < ks[0] or k > ks[-1]:
-            raise ValueError(f"slot {k} outside {ks[0]}..{ks[-1]}")
-        return int(k - ks[0])
+        lo = -((self.d - 1) // 2)           # k_values[0], as in symmetric_labels
+        if k < lo or k > lo + self.d - 1:
+            raise ValueError(f"slot {k} outside {lo}..{lo + self.d - 1}")
+        return int(k - lo)
 
     @property
     def kepler_regime_ok(self) -> bool:

@@ -70,6 +70,11 @@ PROPAGATOR_CACHE_SIZE = 256    # pulse shapes whose U0 is kept per process
 # JSON), in radians: 50 Rabi cycles.  Far larger areas overflow the
 # integrator or take it millions of steps.
 MAX_PULSE_AREA = 100.0 * math.pi
+# Range of the FWHM of a pulse given as input (declarative pulses,
+# schedule JSON, compile --fwhm), in Kepler periods of the manifold.
+# Pulses at either end, up to MAX_PULSE_AREA, integrate in the full
+# model; far beyond it fwhm**2 underflows or overflows in the integrator.
+FWHM_RANGE_KEPLER = (1e-6, 10.0)
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,16 @@ def core_rabi_dft(spec: ManifoldSpec, omega_peak: float) -> float:
     """Omega~_0 for the scaling profile; real and positive."""
     prof = rabi_profile(spec, omega_peak)
     return float(prof.omega_j.sum() / np.sqrt(spec.d))
+
+
+def check_input_fwhm(spec: ManifoldSpec, fwhm: float) -> None:
+    """ValueError unless fwhm (a.u.) lies within FWHM_RANGE_KEPLER
+    Kepler periods of the manifold."""
+    t_kepler = time_scales(spec).t_kepler
+    lo, hi = FWHM_RANGE_KEPLER
+    if not lo * t_kepler <= fwhm <= hi * t_kepler:
+        raise ValueError(f"pulse FWHM {fwhm!r} au is outside {lo:g} .. {hi:g} t_kepler "
+                         f"({lo * t_kepler!r} .. {hi * t_kepler!r} au)")
 
 
 def pi_pulse_peak_rabi(spec: ManifoldSpec, fwhm: float) -> float:

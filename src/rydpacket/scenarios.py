@@ -60,6 +60,7 @@ from .pulse import (
     MAX_PULSE_AREA,
     PulseSpec,
     SimulationState,
+    check_input_fwhm,
     core_rabi_dft,
     pi_pulse_peak_rabi,
     rabi_profile,
@@ -896,8 +897,10 @@ def _parse_pulse_event(sub: dict, spec: ManifoldSpec, clock: float, where: str) 
     if "fwhm" not in sub:
         raise ConfigError(f"{where}: fwhm is required")
     fwhm = parse_quantity(sub["fwhm"], f"{where}.fwhm", spec)
-    if fwhm <= 0:
-        raise ConfigError(f"{where}.fwhm: must be positive")
+    try:
+        check_input_fwhm(spec, fwhm)
+    except ValueError as e:
+        raise ConfigError(f"{where}.fwhm: {e}") from None
     if ("area" in sub) == ("peak_rabi" in sub):
         raise ConfigError(f"{where}: give exactly one of area, peak_rabi")
     pi_peak = pi_pulse_peak_rabi(spec, fwhm)

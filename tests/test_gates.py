@@ -1,12 +1,13 @@
 """Two-level decomposition, pulse schedules, and process fidelity."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import unitary_group
@@ -22,8 +23,9 @@ from rydpacket import (
     time_scales,
 )
 from rydpacket.basis import energy_to_packet_matrix, packet_to_energy_matrix
-from rydpacket.constants import LN2
+from rydpacket.constants import AU_TIME_NS, LN2
 from rydpacket.gates import (
+    DEFAULT_GATE_FWHM_FACTOR,
     GateSchedule,
     ManifoldPiPulse,
     ProgramError,
@@ -40,12 +42,20 @@ from rydpacket.gates import (
     zyz_angles,
 )
 from rydpacket.manifold import detunings
-from rydpacket.pulse import PulseSpec, integrate_pulse, pi_pulse_peak_rabi
+from rydpacket.pulse import FWHM_RANGE_KEPLER, PulseSpec, integrate_pulse, pi_pulse_peak_rabi
 
 # frozen reference values (nbar = 180, exact spectrum, full pulse model)
 WAIT_ONE_PERIOD_FID_D8 = 0.9333572219416217    # Wait(t_kepler) vs identity, d = 8
 WAIT_REVIVAL_FID_D4 = 0.9739029028426681       # Wait(t_revival) vs identity, d = 4
 TWO_LEVEL_D4_FULL_FID = 0.9761740789170084     # compiled seed-7 block, d = 4
+# SHA-256 of schedule_to_json(compile_unitary(_haar(d, d))) at nbar = 180,
+# as json.dumps(doc, indent=2) wrote it
+SCHEDULE_JSON_SHA256 = {
+    2: "309ad9e2477971595bbe8512cd0fd765b89ab7dff354748b23fe876d6824506b",
+    4: "f9bb08f2f32a40e17f1295ad913bebb35780fc46015963168ca6a68a4c1fcc11",
+    8: "1bbda8cde52c2b5c94b0b6ecf1cf234e23b87ca2c8f5f287370e4be8018000b8",
+    16: "c60b76909eea551fb534c54d827c5861e995626d7dbef9a505f2d2b51f937c3e",
+}
 
 
 def _haar(d, seed):
@@ -174,19 +184,24 @@ def test_zyz_diagonal_edge_case():
     np.testing.assert_allclose(rebuilt, u, atol=1e-12)
 
 
+def _storage_exponential(p):
+    """The StoragePulse docstring's formula, through scipy's expm."""
+    h = np.array([[p.detuning_area, p.theta * np.exp(1j * p.phi)],
+                  [p.theta * np.exp(-1j * p.phi), -p.detuning_area]])
+    return np.diag([np.exp(1j * p.phase_g), np.exp(1j * p.phase_e)]) @ expm(0.5j * h)
+
+
 def test_storage_pulse_matrix_is_exponential():
     for theta, phi, chi, pg, pe in [
         (math.pi, 0.0, 0.0, 0.0, 0.0),
         (1.3, 0.4, 0.0, 0.0, 0.0),
         (0.9, -0.2, 0.7, 0.3, -1.2),
         (0.0, 0.0, 0.0, 0.5, 0.5),
+        (0.0, 0.3, -0.8, 0.1, 2.0),
     ]:
         p = StoragePulse(theta=theta, phi=phi, detuning_area=chi,
                          phase_g=pg, phase_e=pe)
-        h = np.array([[chi, theta * np.exp(1j * phi)],
-                      [theta * np.exp(-1j * phi), -chi]])
-        expect = np.diag([np.exp(1j * pg), np.exp(1j * pe)]) @ expm(0.5j * h)
-        np.testing.assert_allclose(p.matrix(), expect, atol=1e-12)
+        np.testing.assert_allclose(p.matrix(), _storage_exponential(p), atol=1e-12)
         np.testing.assert_allclose(p.matrix() @ p.matrix().conj().T,
                                    np.eye(2), atol=1e-12)
 
@@ -200,6 +215,20 @@ def test_wait_rejects_negative():
 def test_wait_rejects_non_finite(duration):
     with pytest.raises(ValueError):
         Wait(duration=duration)
+
+
+@pytest.mark.parametrize("name", ["theta", "phi", "detuning_area", "phase_g", "phase_e"])
+def test_storage_pulse_rejects_non_finite(name):
+    # a NaN field once built, and process_fidelity then returned NaN
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=name):
+            StoragePulse(**{name: value})
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_manifold_pulse_rejects_non_finite_phase(phase):
+    with pytest.raises(ValueError, match="phase"):
+        ManifoldPiPulse(slot=0, target="g", phase=phase)
 
 
 def test_two_level_op_rejects_nan():
@@ -273,7 +302,8 @@ def _schedules(draw):
         st.builds(StoragePulse, theta=_finite, phi=_finite, detuning_area=_finite,
                   phase_g=_finite, phase_e=_finite),
     )
-    fwhm = draw(st.floats(1e-300, 1e300))
+    # schedule JSON holds a pulse FWHM within FWHM_RANGE_KEPLER Kepler periods
+    fwhm = draw(st.floats(*FWHM_RANGE_KEPLER)) * time_scales(spec).t_kepler
     # schedule JSON holds a pulse to an area of at most 100 pi
     area_over_pi = draw(st.floats(1e-6, 100.0))
     return GateSchedule(nbar=spec.nbar, d=d, pulse_fwhm=fwhm,
@@ -289,6 +319,64 @@ def test_schedule_json_roundtrip_property(sched):
     text = schedule_to_json(sched)
     assert schedule_from_json(text) == sched
     assert schedule_to_json(schedule_from_json(text)) == text
+
+
+def _schedule_json_oracle(schedule):
+    """The document schedule_to_json writes, built as a dict and laid
+    out by json.dumps."""
+    prims = []
+    for p in schedule.primitives:
+        if isinstance(p, Wait):
+            prims.append({"type": "wait", "duration_au": p.duration,
+                          "duration_si_ns": p.duration * AU_TIME_NS})
+        elif isinstance(p, ManifoldPiPulse):
+            prims.append({"type": "manifold_pi_pulse", "slot": p.slot,
+                          "target": p.target, "phase": p.phase})
+        else:
+            prims.append({"type": "storage_pulse", "theta": p.theta, "phi": p.phi,
+                          "detuning_area": p.detuning_area, "phase_g": p.phase_g,
+                          "phase_e": p.phase_e})
+    return json.dumps({
+        "nbar": schedule.nbar,
+        "d": schedule.d,
+        "pulse_fwhm_au": schedule.pulse_fwhm,
+        "pulse_fwhm_si_ns": schedule.pulse_fwhm * AU_TIME_NS,
+        "peak_rabi_au": schedule.peak_rabi,
+        "recorded_global_phase": schedule.recorded_global_phase,
+        "primitives": prims,
+    }, indent=2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sched=_schedules())
+def test_schedule_to_json_matches_json_dumps(sched):
+    assert schedule_to_json(sched) == _schedule_json_oracle(sched)
+
+
+_EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("sched", [
+    GateSchedule(nbar=180, d=4, pulse_fwhm=1.0e5, peak_rabi=2.0e-6),
+    GateSchedule(nbar=180, d=4, pulse_fwhm=3, peak_rabi=2, recorded_global_phase=1,
+                 primitives=[Wait(5), ManifoldPiPulse(slot=-1, target="e", phase=1),
+                             StoragePulse(theta=1, phi=-2, detuning_area=3, phase_g=0,
+                                          phase_e=4)]),
+    # the largest duration overflows duration_si_ns, which json writes as Infinity
+    GateSchedule(nbar=180, d=4, pulse_fwhm=5e-324, peak_rabi=1.7976931348623157e308,
+                 recorded_global_phase=-0.0,
+                 primitives=[*(Wait(v) for v in _EXTREMES),
+                             *(ManifoldPiPulse(slot=0, target="g", phase=v) for v in _EXTREMES),
+                             StoragePulse(*_EXTREMES, *_EXTREMES[:2])]),
+], ids=["empty", "int-fields", "extreme-floats"])
+def test_schedule_to_json_fixed_cases(sched):
+    assert schedule_to_json(sched) == _schedule_json_oracle(sched)
+
+
+@pytest.mark.parametrize("d", sorted(SCHEDULE_JSON_SHA256))
+def test_compiled_schedule_json_is_frozen(d):
+    text = schedule_to_json(compile_unitary(_haar(d, d), _spec(d)))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_JSON_SHA256[d]
 
 
 def test_shift_targets_compile_to_free_flight():
@@ -363,20 +451,22 @@ def test_wait_schedule_frozen_fidelities():
     assert fid_rev >= 0.96
 
 
-def _reference_run(sched, bt0, mode, pulses):
+def _reference_run(sched, bt0, mode, pulses, b_g=0j, b_e=0j):
     """The per-primitive loop: integrate_pulse for each full pulse, the
-    lab-frame swap at the pulse centre for each ideal one."""
+    lab-frame swap at the pulse centre for each ideal one, and each
+    storage pulse on its own as a matrix exponential."""
     spec = sched.spec
     F = energy_to_packet_matrix(spec.d)
     w = detunings(spec, mode)
     core = spec.slot_index(0)
     state = _packet_state(spec, bt0)
+    state.b_g, state.b_e = b_g, b_e
     sigma = PulseSpec(fwhm=sched.pulse_fwhm, peak_rabi=1.0).sigma
     for prim in sched.primitives:
         if isinstance(prim, Wait):
             state.t += prim.duration
         elif isinstance(prim, StoragePulse):
-            state.b_g, state.b_e = prim.matrix() @ np.array([state.b_g, state.b_e])
+            state.b_g, state.b_e = _storage_exponential(prim) @ np.array([state.b_g, state.b_e])
         elif pulses == "full":
             state = integrate_pulse(state, PulseSpec(
                 fwhm=sched.pulse_fwhm, peak_rabi=sched.peak_rabi, phase=prim.phase,
@@ -416,6 +506,62 @@ def test_schedule_operator_matches_per_primitive_loop(pulses):
     assert out.b_e == pytest.approx(ref.b_e, abs=1e-10)
     assert out.t == ref.t
     assert out.norm() == pytest.approx(ref.norm(), abs=1e-10)
+
+
+_angles = st.floats(-2 * math.pi, 2 * math.pi)
+
+
+@st.composite
+def _operator_cases(draw):
+    """(schedule, mode, pulses, initial vector over (g, e, levels)):
+    random primitives, with runs of storage pulses before, between and
+    after the manifold pulses.  Full-model draws share one spec, pulse
+    shape and spectrum, so one cached propagator serves them all."""
+    pulses = draw(st.sampled_from(["ideal"] * 5 + ["full"]))
+    if pulses == "full":
+        spec, mode, max_pulses = _spec(4), "exact", 3
+    else:
+        d = draw(st.integers(2, 8))
+        spec = ManifoldSpec(nbar=draw(st.integers(100, 300)), d=d)
+        mode, max_pulses = draw(st.sampled_from(["exact", "taylor1"])), 8
+    t_kepler = time_scales(spec).t_kepler
+    fwhm = DEFAULT_GATE_FWHM_FACTOR * t_kepler / spec.d
+    storage_run = st.lists(st.builds(StoragePulse, theta=_angles, phi=_angles,
+                                     detuning_area=_angles, phase_g=_angles,
+                                     phase_e=_angles), max_size=3)
+    prims = draw(storage_run)
+    for _ in range(draw(st.integers(0, max_pulses))):
+        prims.append(Wait(draw(st.floats(0.0, 2.0)) * t_kepler))
+        prims.append(ManifoldPiPulse(slot=draw(st.sampled_from([int(k) for k in spec.k_values])),
+                                     target=draw(st.sampled_from(["g", "e"])),
+                                     phase=draw(_angles)))
+        prims += draw(storage_run)
+    sched = GateSchedule(nbar=spec.nbar, d=spec.d, pulse_fwhm=fwhm,
+                         peak_rabi=pi_pulse_peak_rabi(spec, fwhm), primitives=prims)
+    v0 = np.array(draw(st.lists(st.complex_numbers(max_magnitude=1.0), min_size=spec.d + 2,
+                                max_size=spec.d + 2)))
+    norm = np.linalg.norm(v0)
+    return sched, mode, pulses, v0 / norm if norm > 1e-3 else np.eye(spec.d + 2)[0]
+
+
+_NO_PULSES = GateSchedule(nbar=180, d=3, pulse_fwhm=1e5, peak_rabi=1e-6, primitives=[
+    StoragePulse(theta=1.1, phi=0.3, detuning_area=-0.7, phase_g=0.2), Wait(1e6),
+    StoragePulse(theta=0.4, detuning_area=2.0, phase_e=-1.3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_operator_cases())
+@example(case=(_NO_PULSES, "exact", "ideal", np.full(5, 1 / math.sqrt(5), dtype=complex)))
+@example(case=(_NO_PULSES, "exact", "full", np.full(5, 1 / math.sqrt(5), dtype=complex)))
+def test_schedule_operator_matches_per_primitive_loop_property(case):
+    sched, mode, pulses, v0 = case
+    M, t_end = schedule_operator(sched, mode, pulses)
+    v = M @ v0
+    ref = _reference_run(sched, energy_to_packet_matrix(sched.d) @ v0[2:], mode, pulses,
+                         b_g=v0[0], b_e=v0[1])
+    assert t_end == ref.t == sched.duration()
+    np.testing.assert_allclose(v, np.concatenate(([ref.b_g, ref.b_e], ref.b_energy)),
+                               rtol=0, atol=1e-10)
 
 
 def test_schedule_duration_is_the_operator_clock():

@@ -40,6 +40,16 @@ def test_level_labels_odd():
     assert spec.slot_index(0) == 2
 
 
+@pytest.mark.parametrize("d", range(2, 10))
+def test_slot_index_bounds(d):
+    spec = ManifoldSpec(nbar=NBAR, d=d)
+    ks = [int(k) for k in spec.k_values]
+    assert [spec.slot_index(k) for k in ks] == list(range(d))
+    for k in (ks[0] - 1, ks[-1] + 1):
+        with pytest.raises(ValueError, match=rf"^slot {k} outside {ks[0]}\.\.{ks[-1]}$"):
+            spec.slot_index(k)
+
+
 def test_kepler_regime_flag():
     assert ManifoldSpec(nbar=1000, d=8).kepler_regime_ok
     assert not ManifoldSpec(nbar=NBAR, d=8).kepler_regime_ok

@@ -16,7 +16,7 @@ from rydpacket.cli import main
 from rydpacket.constants import LN2, TIME_UNITS
 from rydpacket.gates import random_two_level_unitary
 from rydpacket.manifold import SPECTRUM_MODES
-from rydpacket.pulse import PulseSpec
+from rydpacket.pulse import FWHM_RANGE_KEPLER, PulseSpec, pi_pulse_peak_rabi
 from rydpacket.scenarios import (
     ConfigError,
     ScenarioError,
@@ -298,12 +298,12 @@ def test_declarative_config_errors():
     bad_events = [
         [{"wait": "1 kepler", "shift": 1}],                    # two keys
         [{"teleport": 1}],                                     # unknown event
-        [{"pulse": {"fwhm": 10.0}}],                           # no area/peak
-        [{"pulse": {"fwhm": 10.0, "area": "pi",
+        [{"pulse": {"fwhm": "0.02 kepler"}}],                  # no area/peak
+        [{"pulse": {"fwhm": "0.02 kepler", "area": "pi",
                     "peak_rabi": 1.0}}],                       # both
-        [{"pulse": {"fwhm": 10.0, "area": "pi",
+        [{"pulse": {"fwhm": "0.02 kepler", "area": "pi",
                     "slot": 0, "center": 0.0}}],               # slot and center
-        [{"pulse": {"fwhm": 10.0, "area": "pi",
+        [{"pulse": {"fwhm": "0.02 kepler", "area": "pi",
                     "center": -1e9}}],                         # in the past
         [{"wait": -1.0}],
         [{"gate": {"unitary": np.eye(8).tolist(),
@@ -650,6 +650,51 @@ def test_cli_verify_rejects_bad_schedule_header(tmp_path, capsys, field, value):
     capsys.readouterr()
     assert main(["verify", str(sfile), str(ufile)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_pulse_fwhm_bound_solves_at_both_ends(tmp_path, capsys):
+    # schedule JSON and declarative pulses at either end of the accepted
+    # FWHM range run through the full model
+    spec = ManifoldSpec(nbar=180, d=4)
+    t_kepler = time_scales(spec).t_kepler
+    sfile, ufile, doc = _compiled_schedule(tmp_path)
+    for factor in FWHM_RANGE_KEPLER:
+        fwhm = factor * t_kepler
+        doc.update(pulse_fwhm_au=fwhm, peak_rabi_au=pi_pulse_peak_rabi(spec, fwhm))
+        sfile.write_text(json.dumps(doc))
+        assert main(["verify", str(sfile), str(ufile), "--min-fidelity", "0"]) == 0
+        for area in ("pi", 100 * math.pi):
+            res = run_scenario(_decl(d=4, initial_state={"packet": 0},
+                                     events=[{"pulse": {"fwhm": fwhm, "area": area}}]))
+            assert res.passed
+
+
+@pytest.mark.parametrize("fwhm", [1e-300, 1e-160, 1e-150, 1e150, 1e200])
+def test_cli_verify_rejects_fwhm_outside_bound(tmp_path, capsys, fwhm):
+    # with the calibrated pi-pulse peak Rabi frequency, each of these once
+    # ended in a traceback from the pulse integrator (exit 1):
+    # ZeroDivisionError, RuntimeError or OverflowError
+    sfile, ufile, doc = _compiled_schedule(tmp_path)
+    doc.update(pulse_fwhm_au=fwhm,
+               peak_rabi_au=pi_pulse_peak_rabi(ManifoldSpec(nbar=180, d=4), fwhm))
+    sfile.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(sfile), str(ufile)]) == 2
+    assert "pulse FWHM" in capsys.readouterr().err
+
+
+def test_pulse_fwhm_outside_bound_is_a_config_error(tmp_path, capsys):
+    spec = ManifoldSpec(nbar=180, d=4)
+    lo, hi = (f * time_scales(spec).t_kepler for f in FWHM_RANGE_KEPLER)
+    ufile = tmp_path / "u4.json"
+    _dump_unitary(ufile, random_two_level_unitary(spec, 3))
+    for fwhm in (lo * (1 - 1e-9), hi * (1 + 1e-9), 1e-300, 1e200):
+        with pytest.raises(ConfigError, match=r"events\[0\]\.fwhm: pulse FWHM"):
+            run_scenario(_decl(d=4, initial_state={"packet": 0},
+                               events=[{"pulse": {"fwhm": fwhm, "area": "pi"}}]))
+        capsys.readouterr()
+        assert main(["compile", str(ufile), "--fwhm", f"{fwhm!r} au"]) == 2
+        assert "--fwhm: pulse FWHM" in capsys.readouterr().err
 
 
 def test_cli_verify_rejects_nan_wait(tmp_path, capsys):
