@@ -15,11 +15,12 @@ t = 0 this reduces to a fixed unitary DFT.  For d = 2 that matrix is
 the Hadamard transform.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import ManifoldSpec, detunings, symmetric_labels
+from .manifold import CACHE_SIZE, ManifoldSpec, detunings, symmetric_labels
 
 NORM_SLACK = 1e-10
 
@@ -84,11 +85,19 @@ def energy_to_packet_matrix(d: int) -> np.ndarray:
     """Unitary DFT mapping energy amplitudes to packet amplitudes at t = 0.
 
     F[k, j] = exp(+i 2 pi j k / d) / sqrt(d) over the symmetric label
-    ranges.  Rows/columns follow ascending k/j order.
+    ranges.  Rows/columns follow ascending k/j order.  The matrix is
+    computed once per d, cached and read-only.
     """
+    return _dft_matrix(d)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _dft_matrix(d: int) -> np.ndarray:
     labels = symmetric_labels(d)
     kk, jj = np.meshgrid(labels, labels, indexing="ij")
-    return np.exp(2j * np.pi * jj * kk / d) / np.sqrt(d)
+    F = np.exp(2j * np.pi * jj * kk / d) / np.sqrt(d)
+    F.flags.writeable = False
+    return F
 
 
 def packet_to_energy_matrix(d: int) -> np.ndarray:

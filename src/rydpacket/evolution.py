@@ -116,13 +116,13 @@ class TraceRecord:
         return cols
 
     def to_csv(self, path) -> None:
+        """One header line, then one line per sample, every value
+        written as repr of a Python float."""
         cols = self.columns()
-        header = ",".join(cols)
-        data = np.column_stack(list(cols.values()))
+        rows = np.column_stack(list(cols.values())).tolist()
+        lines = [",".join(cols)] + [",".join(map(float.__repr__, row)) for row in rows]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for row in data:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            fh.write("\n".join(lines) + "\n")
 
 
 def revival_scan(spec: ManifoldSpec, b_energy: np.ndarray, t_grid: np.ndarray,

@@ -47,6 +47,7 @@ lets a compiled fragment stay above 0.9 process fidelity at nbar = 180.
 """
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -55,7 +56,7 @@ import numpy as np
 
 from .basis import energy_to_packet_matrix, packet_amplitudes_at
 from .constants import AU_TIME_NS, LN2
-from .manifold import ManifoldSpec, detunings, time_scales
+from .manifold import CACHE_SIZE, ManifoldSpec, detunings, time_scales
 from .pulse import (
     MAX_PULSE_AREA,
     PulseSpec,
@@ -78,11 +79,24 @@ DEFAULT_GATE_FWHM_FACTOR = 0.25 * LN2   # times t_kepler / d
 
 def _unitary(U, d: int) -> np.ndarray:
     """U as a complex d x d array; ValueError unless it is one and is
-    unitary within UNITARITY_TOL."""
+    unitary within UNITARITY_TOL (every entry of U U^dagger - 1)."""
     U = np.asarray(U, dtype=complex)
     if U.shape != (d, d):
         raise ValueError(f"expected a {d}x{d} matrix")
-    if not np.max(np.abs(U @ U.conj().T - np.eye(d))) <= UNITARITY_TOL:
+    if d == 2:
+        # the entries of U U^dagger - 1 as scalars; the one below the
+        # diagonal is the conjugate of the one above.  The diagonal goes
+        # first: once it passes, every entry of U is about 1 in size at
+        # most and the last product cannot overflow.  A NaN fails every
+        # comparison.
+        (a, b), (c, e) = U.tolist()
+        tol = UNITARITY_TOL
+        ok = (abs((a * a.conjugate() + b * b.conjugate()).real - 1.0) <= tol
+              and abs((c * c.conjugate() + e * e.conjugate()).real - 1.0) <= tol
+              and abs(a * c.conjugate() + b * e.conjugate()) <= tol)
+    else:
+        ok = np.max(np.abs(U @ U.conj().T - np.eye(d))) <= UNITARITY_TOL
+    if not ok:
         raise ValueError("matrix is not unitary within 1e-9")
     return U
 
@@ -512,7 +526,13 @@ def merge_same_pair(ops: list[TwoLevelOp]) -> list[TwoLevelOp]:
             out.append(TwoLevelOp(k=op.k, k2=op.k2, u2=op.u2 @ u_prev))
         else:
             out.append(op)
-    return [op for op in out if np.max(np.abs(op.u2 - np.eye(2))) > IDENTITY_TOL]
+    return [op for op in out if not _is_identity2(op.u2)]
+
+
+def _is_identity2(u2: np.ndarray) -> bool:
+    """Every entry of the 2 x 2 u2 - 1 within IDENTITY_TOL."""
+    (a, b), (c, e) = u2.tolist()
+    return all(abs(x) <= IDENTITY_TOL for x in (a - 1.0, b, c, e - 1.0))
 
 
 def _swapped(u2: np.ndarray) -> np.ndarray:
@@ -544,11 +564,13 @@ def compile_unitary(
         peak_rabi=pi_pulse_peak_rabi(spec, pulse_fwhm),
     )
 
-    for n in range(d):
-        if np.max(np.abs(U - shift_matrix(d, n))) <= UNITARITY_TOL:
-            if n > 0:
-                sched.primitives.append(Wait(duration=n * ts.t_kepler / d))
-            return sched
+    # SHIFT-by-n has its column-0 one in row n, so the largest entry of
+    # U's column 0 names the only shift U can lie within 1e-9 of
+    n = int(np.argmax(np.abs(U[:, 0])))
+    if np.max(np.abs(U - shift_matrix(d, n))) <= UNITARITY_TOL:
+        if n > 0:
+            sched.primitives.append(Wait(duration=n * ts.t_kepler / d))
+        return sched
 
     comp = _Compiler(spec, pulse_fwhm)
     for op in merge_same_pair(decompose_unitary(U, spec)):
@@ -765,6 +787,16 @@ def probe_states(spec: ManifoldSpec) -> list[np.ndarray]:
     return probes
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _probe_matrices(spec: ManifoldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The probes as the columns of one matrix, and their energy
+    amplitudes F^H probes; both read-only."""
+    probes = np.stack(probe_states(spec), axis=1)
+    energy = energy_to_packet_matrix(spec.d).conj().T @ probes
+    probes.flags.writeable = energy.flags.writeable = False
+    return probes, energy
+
+
 def process_fidelity(
     schedule: GateSchedule,
     U_target: np.ndarray,
@@ -781,9 +813,9 @@ def process_fidelity(
     U = _unitary(U_target, spec.d)
     M, t_end = schedule_operator(schedule, mode, pulses)
     F = energy_to_packet_matrix(spec.d)
-    probes = np.stack(probe_states(spec), axis=1)
+    probes, probes_energy = _probe_matrices(spec)
     # probes start with empty storage, so only the level block of M acts
-    b = M[2:, 2:] @ (F.conj().T @ probes)
+    b = M[2:, 2:] @ probes_energy
     out = F @ (np.exp(-1j * detunings(spec, mode) * t_end)[:, None] * b)
     fids = np.abs(np.sum((U @ probes).conj() * out, axis=0)) ** 2
     return float(np.mean(fids))

@@ -15,6 +15,7 @@ time t_revival = 4 pi nbar^4 / 3 and the cubic one t_superrevival =
 pi nbar^5 (all atomic units).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,17 @@ import numpy as np
 from .constants import AU_TIME_NS, TWO_PI
 
 SPECTRUM_MODES = ("exact", "taylor1", "taylor2", "taylor3")
+# Largest mean principal quantum number of a manifold.  Far beyond it the
+# time scales (t_superrevival grows as nbar^5) overflow a float; at it a
+# compiled gate still verifies in the full pulse model.
+MAX_NBAR = 10**6
+# Entries kept by each per-process cache of the package (the DFT matrix
+# per d, time scales per manifold, detunings per manifold and spectrum
+# mode, fidelity probes per manifold, pulse propagators per shape).  The
+# most distinct keys a benchmark workload meets in one cache is about
+# 400 (detunings, scenarios_cli), so none of them evicts there; an entry
+# holds at most O(d^2) numbers.
+CACHE_SIZE = 1024
 
 
 def symmetric_labels(d: int) -> np.ndarray:
@@ -38,8 +50,10 @@ class ManifoldSpec:
     d: int
 
     def __post_init__(self):
-        if self.nbar < 4:
+        if not self.nbar >= 4:
             raise ValueError(f"nbar must be >= 4, got {self.nbar}")
+        if not self.nbar <= MAX_NBAR:
+            raise ValueError(f"nbar must be <= {MAX_NBAR}, got {self.nbar}")
         if self.d < 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
         if self.d >= self.nbar:
@@ -94,8 +108,14 @@ def time_scales(spec: ManifoldSpec) -> TimeScales:
 
     t_kepler = 2 pi nbar^3, t_revival = 4 pi nbar^4 / 3,
     t_superrevival = pi nbar^5, all in atomic units.  For nbar = 180
-    these are about 0.89 ns, 106 ns and 14 us.
+    these are about 0.89 ns, 106 ns and 14 us.  Computed once per
+    manifold (the result is frozen).
     """
+    return _time_scales(spec)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _time_scales(spec: ManifoldSpec) -> TimeScales:
     n = float(spec.nbar)
     return TimeScales(
         t_kepler=TWO_PI * n**3,
@@ -134,10 +154,16 @@ def detunings(spec: ManifoldSpec, mode: str = "exact") -> np.ndarray:
     mode 'exact' uses the closed-form Coulomb energies; 'taylorN' keeps
     the expansion through j^N.  'taylor1' makes free evolution exactly
     periodic with period t_kepler, which is what the idealized shift
-    gate assumes.
+    gate assumes.  The array is computed once per (manifold, mode),
+    cached and read-only.
     """
-    if mode == "exact":
-        return exact_detunings(spec)
-    if mode in ("taylor1", "taylor2", "taylor3"):
-        return taylor_detunings(spec, int(mode[-1]))
-    raise ValueError(f"unknown spectrum mode {mode!r}, expected one of {SPECTRUM_MODES}")
+    if mode not in SPECTRUM_MODES:
+        raise ValueError(f"unknown spectrum mode {mode!r}, expected one of {SPECTRUM_MODES}")
+    return _detunings(spec, mode)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _detunings(spec: ManifoldSpec, mode: str) -> np.ndarray:
+    w = exact_detunings(spec) if mode == "exact" else taylor_detunings(spec, int(mode[-1]))
+    w.flags.writeable = False
+    return w

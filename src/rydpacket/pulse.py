@@ -50,10 +50,9 @@ of guessed steps in a few array operations and keeps the steps that
 the replayed controller agrees with.
 """
 
+import functools
 import math
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,11 +60,10 @@ import numpy as np
 from .basis import energy_to_packet_matrix, packet_amplitudes_at
 from .constants import LN2, TWO_PI
 from .evolution import TraceRecord
-from .manifold import ManifoldSpec, detunings, time_scales
+from .manifold import CACHE_SIZE, ManifoldSpec, detunings, time_scales
 
 TRUNCATION_SIGMAS = 4.0        # envelope support half-width, in sigma
 NORM_TOLERANCE = 1e-8          # allowed norm drift per integration
-PROPAGATOR_CACHE_SIZE = 256    # pulse shapes whose U0 is kept per process
 # Largest |area| of a pulse given as input (declarative pulses, schedule
 # JSON), in radians: 50 Rabi cycles.  Far larger areas overflow the
 # integrator or take it millions of steps.
@@ -631,10 +629,6 @@ class _DenseSolution:
         return h * np.einsum("knq,qk->nk", self.Qs[k], p) + self.ys[k].T
 
 
-_PROPAGATORS: OrderedDict = OrderedDict()     # shape key -> U0, least recently used first
-_PROPAGATORS_LOCK = threading.Lock()
-
-
 def pulse_propagator(spec: ManifoldSpec, pulse: PulseSpec, mode: str = "exact") -> np.ndarray:
     """U0, the (d+1) x (d+1) propagator over (storage, levels) of the
     pulse shape centred at t = 0 with phi = 0.
@@ -650,14 +644,13 @@ def pulse_propagator(spec: ManifoldSpec, pulse: PulseSpec, mode: str = "exact") 
     kept in a bounded process-wide cache.  The returned array is
     read-only.
     """
-    key = (spec.nbar, spec.d, mode, pulse.fwhm, pulse.peak_rabi, pulse.carrier_detuning)
-    with _PROPAGATORS_LOCK:
-        U0 = _PROPAGATORS.get(key)
-        if U0 is not None:
-            _PROPAGATORS.move_to_end(key)
-            return U0
+    return _propagator(spec, mode, pulse.fwhm, pulse.peak_rabi, pulse.carrier_detuning)
 
-    shape = replace(pulse, center_time=0.0, phase=0.0)
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _propagator(spec: ManifoldSpec, mode: str, fwhm: float, peak_rabi: float,
+                carrier_detuning: float) -> np.ndarray:
+    shape = PulseSpec(fwhm=fwhm, peak_rabi=peak_rabi, carrier_detuning=carrier_detuning)
     deltas = detunings(spec, mode) + shape.carrier_detuning
     omega = rabi_profile(spec, shape.peak_rabi).omega_j
     n = spec.d + 1
@@ -666,8 +659,4 @@ def pulse_propagator(spec: ManifoldSpec, pulse: PulseSpec, mode: str = "exact") 
     if not err <= NORM_TOLERANCE:
         raise RuntimeError(f"pulse propagator is off unitary by {err:.3e}")
     U0.flags.writeable = False
-    with _PROPAGATORS_LOCK:
-        _PROPAGATORS[key] = U0
-        if len(_PROPAGATORS) > PROPAGATOR_CACHE_SIZE:
-            _PROPAGATORS.popitem(last=False)
     return U0

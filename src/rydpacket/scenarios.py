@@ -378,9 +378,10 @@ def _run_named(cfg: dict) -> ScenarioResult:
     return sc.runner(params)
 
 
-def _spec_of(params: dict) -> ManifoldSpec:
+def _spec_of(nbar, d) -> ManifoldSpec:
+    """ManifoldSpec(nbar, d) of config values; ConfigError unless valid."""
     try:
-        return ManifoldSpec(nbar=int(params["nbar"]), d=int(params["d"]))
+        return ManifoldSpec(nbar=int(nbar), d=int(d))
     except ValueError as e:
         raise ConfigError(f"manifold: {e}") from None
 
@@ -412,7 +413,7 @@ def _random_packet_states(rng, n: int, d: int) -> np.ndarray:
     nbar=180, d=8,
 )
 def _run_time_scales(params: dict) -> ScenarioResult:
-    spec = _spec_of(params)
+    spec = _spec_of(params["nbar"], params["d"])
     ts = time_scales(spec)
     checks = [
         _near("kepler_period_si", ts.t_kepler_ns, 0.89, 0.01, "ns"),
@@ -481,7 +482,7 @@ def _run_shift_gate(params: dict) -> ScenarioResult:
     nbar = int(params["nbar"])
     worst_perm = worst_delta = 0.0
     for d in params["ds"]:
-        spec = ManifoldSpec(nbar=nbar, d=int(d))
+        spec = _spec_of(nbar, d)
         ts = time_scales(spec)
         Fi = packet_to_energy_matrix(spec.d)
         states = _random_packet_states(rng, int(params["n_states"]), spec.d)
@@ -499,7 +500,7 @@ def _run_shift_gate(params: dict) -> ScenarioResult:
         _below("permutation_error", worst_perm, 1e-12),
         _below("kernel_delta_error", worst_delta, 1e-12),
     ]
-    spec8 = ManifoldSpec(nbar=nbar, d=8)
+    spec8 = _spec_of(nbar, 8)
     obs = {
         "max_permutation_error": worst_perm,
         "max_kernel_delta_error": worst_delta,
@@ -519,7 +520,7 @@ def _run_shift_gate(params: dict) -> ScenarioResult:
     nbar=180, d=8, n_pairs=100, seed=3,
 )
 def _run_kernel_identity(params: dict) -> ScenarioResult:
-    spec = _spec_of(params)
+    spec = _spec_of(params["nbar"], params["d"])
     ts = time_scales(spec)
     rng = np.random.default_rng(params["seed"])
     F = energy_to_packet_matrix(spec.d)
@@ -554,7 +555,7 @@ def _run_kernel_identity(params: dict) -> ScenarioResult:
     nbar=180, d=8,
 )
 def _run_rabi_dft_ratio(params: dict) -> ScenarioResult:
-    spec = _spec_of(params)
+    spec = _spec_of(params["nbar"], params["d"])
     prof = rabi_profile(spec, 1.0)
     mags = np.abs(prof.dft)
     k0 = spec.slot_index(0)
@@ -582,7 +583,7 @@ def _fig2_pipeline(params: dict, n_trace: int):
     core, and coasts one slot step past it.  Returns the final state,
     the pulse, and the trace of the whole run (None for n_trace = 0).
     """
-    spec = _spec_of(params)
+    spec = _spec_of(params["nbar"], params["d"])
     ts = time_scales(spec)
     d = spec.d
     step = ts.t_kepler / d
@@ -681,7 +682,7 @@ def _run_two_level_vs_full(params: dict) -> ScenarioResult:
     nbar=180, d=8, window=0.02, grid_per_kepler=160,
 )
 def _run_revival(params: dict) -> ScenarioResult:
-    spec = _spec_of(params)
+    spec = _spec_of(params["nbar"], params["d"])
     ts = time_scales(spec)
     b = packet_to_energy_matrix(spec.d)[:, spec.slot_index(0)]
     decay = 1.0 - autocorrelation(b, spec, ts.t_kepler)
@@ -729,7 +730,7 @@ def _run_nbar_scaling(params: dict) -> ScenarioResult:
     d = int(params["d"])
     decays = []
     for nbar in nbars:
-        spec = ManifoldSpec(nbar=nbar, d=d)
+        spec = _spec_of(nbar, d)
         ts = time_scales(spec)
         b = packet_to_energy_matrix(d)[:, spec.slot_index(0)]
         decays.append(1.0 - autocorrelation(b, spec, ts.t_kepler))
@@ -756,7 +757,7 @@ def _run_nbar_scaling(params: dict) -> ScenarioResult:
     nbar=180, d=8, fwhm_factor=0.5 * LN2,
 )
 def _run_pulse_constraints(params: dict) -> ScenarioResult:
-    spec = _spec_of(params)
+    spec = _spec_of(params["nbar"], params["d"])
     ts = time_scales(spec)
     fwhm = params["fwhm_factor"] * ts.t_kepler / spec.d
     pulse = PulseSpec(fwhm=fwhm, peak_rabi=pi_pulse_peak_rabi(spec, fwhm))
@@ -798,7 +799,7 @@ def _run_compile_random(params: dict) -> ScenarioResult:
     worst_err = 0.0
     worst_count_margin = -10**9
     for dim in params["haar_dims"]:
-        spec_h = ManifoldSpec(nbar=nbar, d=int(dim))
+        spec_h = _spec_of(nbar, dim)
         bound = dim * (dim - 1) // 2 + dim
         for _ in range(int(params["haar_count"])):
             U = haar_unitary(dim, rng)
@@ -812,7 +813,7 @@ def _run_compile_random(params: dict) -> ScenarioResult:
                     f"worst count minus d(d-1)/2 + d bound: {worst_count_margin}"),
     ]
 
-    spec = _spec_of(params)
+    spec = _spec_of(params["nbar"], params["d"])
     target = random_two_level_unitary(spec, int(params["seed"]))
     schedule = compile_unitary(target, spec)
     fid_ideal = process_fidelity(schedule, target, mode="taylor1", pulses="ideal")
@@ -956,7 +957,8 @@ def _run_declarative(cfg: dict) -> ScenarioResult:
     _check_keys(man, {"nbar", "d"}, "config.manifold")
     if "nbar" not in man or "d" not in man:
         raise ConfigError("config.manifold: nbar and d are required")
-    spec = _spec_of(man)
+    spec = _spec_of(_require_int(man["nbar"], "config.manifold.nbar"),
+                    _require_int(man["d"], "config.manifold.d"))
     mode = cfg.get("spectrum", "exact")
     if mode not in SPECTRUM_MODES:
         raise ConfigError(

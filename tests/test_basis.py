@@ -125,3 +125,22 @@ def test_packet_amplitudes_at_broadcasts_over_times_and_states():
     assert grid.shape == (5, 8)
     np.testing.assert_allclose(grid[3], packet_amplitudes_at(b[0], spec, t[3], mode="taylor2"),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 16])
+def test_dft_matrix_is_cached_and_read_only(d):
+    F = energy_to_packet_matrix(d)
+    assert energy_to_packet_matrix(d) is F
+    assert not F.flags.writeable
+    with pytest.raises(ValueError):
+        F[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        F *= 2.0
+    # the formula, computed here: F[k, j] = exp(+i 2 pi j k / d) / sqrt(d)
+    labels = np.arange(-((d - 1) // 2), d // 2 + 1)
+    kk, jj = np.meshgrid(labels, labels, indexing="ij")
+    assert np.array_equal(F, np.exp(2j * np.pi * jj * kk / d) / np.sqrt(d))
+    Fi = packet_to_energy_matrix(d)
+    assert np.array_equal(Fi, F.conj().T)
+    Fi[0, 0] = 0.0          # the inverse is a fresh array: writing it leaves F as it was
+    assert np.array_equal(F, np.exp(2j * np.pi * jj * kk / d) / np.sqrt(d))

@@ -164,3 +164,42 @@ def test_trace_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(data[:, 0], grid)
     col = header.index("autocorr")
     np.testing.assert_array_equal(data[:, col], trace.autocorr)
+
+
+def _csv_oracle(trace, path):
+    """The per-value CSV writer TraceRecord.to_csv replaced, kept as the oracle."""
+    cols = trace.columns()
+    data = np.column_stack(list(cols.values()))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in data:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+_CSV_SPECIALS = np.array([-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, 0.1, -2.5, 1.0])
+
+
+@pytest.mark.parametrize("case", ["random", "specials", "full", "empty"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trace_csv_matches_per_value_writer(tmp_path, case, seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 9))
+    spec = ManifoldSpec(nbar=180, d=d)
+    n = {"random": 240, "specials": 17, "full": 31, "empty": 0}[case]
+    if case == "specials":
+        def column(*shape):
+            return rng.choice(_CSV_SPECIALS, size=shape)
+    else:
+        def column(*shape):
+            return rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    trace = TraceRecord(spec=spec, t_au=column(n), packet_populations=column(n, d))
+    if case in ("specials", "full"):
+        trace.autocorr, trace.pop_g, trace.pop_e, trace.norm_error = (column(n) for _ in range(4))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    trace.to_csv(got)
+    _csv_oracle(trace, want)
+    assert got.read_bytes() == want.read_bytes()
+    if case == "specials":
+        text = got.read_text()
+        for v in ("-0.0", "5e-324", "1e+16", "1e-05", "1.7976931348623157e+308"):
+            assert v in text

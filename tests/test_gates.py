@@ -41,8 +41,13 @@ from rydpacket.gates import (
     schedule_to_json,
     zyz_angles,
 )
+import rydpacket.basis as basis_mod
+import rydpacket.gates as gates_mod
+import rydpacket.manifold as manifold_mod
+import rydpacket.pulse as pulse_mod
 from rydpacket.manifold import detunings
 from rydpacket.pulse import FWHM_RANGE_KEPLER, PulseSpec, integrate_pulse, pi_pulse_peak_rabi
+from rydpacket.scenarios import haar_unitary
 
 # frozen reference values (nbar = 180, exact spectrum, full pulse model)
 WAIT_ONE_PERIOD_FID_D8 = 0.9333572219416217    # Wait(t_kepler) vs identity, d = 8
@@ -748,3 +753,196 @@ def test_run_program_rejects_bad_items():
     assert err.value.index == 1
     with pytest.raises(ValueError):
         run_program(start, [], n_trace=1)
+
+
+# ---------------------------------------------------------------------------
+# cached per-manifold constants and the scalar 2 x 2 checks
+
+
+_CACHES = (basis_mod._dft_matrix, manifold_mod._time_scales, manifold_mod._detunings,
+           gates_mod._probe_matrices, pulse_mod._propagator)
+
+
+def _clear_caches():
+    """Empty every cache of per-manifold constants and pulse propagators."""
+    for cached in _CACHES:
+        cached.cache_clear()
+
+
+def test_caches_share_one_bound():
+    assert {c.cache_parameters()["maxsize"] for c in _CACHES} == {manifold_mod.CACHE_SIZE}
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_probe_matrices_are_cached_and_read_only(d):
+    spec = _spec(d)
+    probes, energy = gates_mod._probe_matrices(spec)
+    assert gates_mod._probe_matrices(_spec(d))[0] is probes
+    for a in (probes, energy):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+    listed = probe_states(spec)
+    assert isinstance(listed, list) and len(listed) == 2 * d + 1
+    assert np.array_equal(probes, np.stack(listed, axis=1))
+    assert np.array_equal(energy, packet_to_energy_matrix(d) @ np.stack(listed, axis=1))
+
+
+def _fidelity_formula(M, t_end, spec, U, mode):
+    """process_fidelity from the operator, with the DFT matrix, the
+    detunings and the probes computed here."""
+    d, n = spec.d, float(spec.nbar)
+    labels = np.arange(-((d - 1) // 2), d // 2 + 1)
+    kk, jj = np.meshgrid(labels, labels, indexing="ij")
+    F = np.exp(2j * np.pi * jj * kk / d) / np.sqrt(d)
+    j = labels.astype(float)
+    w = (-1.0 / (2.0 * (n + j) ** 2) + 1.0 / (2.0 * n**2) if mode == "exact"
+         else 2.0 * math.pi * (j / (2.0 * math.pi * n**3)))
+    probes = [np.eye(d, dtype=complex)[i] for i in range(d)]
+    probes += [F @ (np.exp(-2j * np.pi * labels * m / (d + 1)) / np.sqrt(d)) for m in range(d + 1)]
+    probes = np.stack(probes, axis=1)
+    out = F @ (np.exp(-1j * w * t_end)[:, None] * (M[2:, 2:] @ (F.conj().T @ probes)))
+    return float(np.mean(np.abs(np.sum((U @ probes).conj() * out, axis=0)) ** 2))
+
+
+@pytest.mark.parametrize("pulses", ["ideal", "full"])
+@pytest.mark.parametrize("mode", ["exact", "taylor1"])
+def test_cached_constants_leave_operator_and_fidelity_bit_equal(mode, pulses):
+    # seeded Haar targets, d = 2..8: the operator and the fidelity with
+    # every cache emptied first equal the ones read from warm caches, and
+    # the fidelity equals the formula computed here from the operator
+    rng = np.random.default_rng(12)
+    for d in range(2, 9):
+        spec = ManifoldSpec(nbar=int(rng.choice([176, 180, 184])), d=d)
+        U = haar_unitary(d, rng)
+        sched = compile_unitary(U, spec)
+        _clear_caches()
+        M_cold, t_cold = schedule_operator(sched, mode, pulses)
+        _clear_caches()
+        f_cold = process_fidelity(sched, U, mode, pulses)
+        M, t_end = schedule_operator(sched, mode, pulses)
+        assert np.array_equal(M, M_cold) and t_end == t_cold
+        assert process_fidelity(sched, U, mode, pulses) == f_cold
+        assert f_cold == _fidelity_formula(M, t_end, spec, U, mode)
+
+
+def _numpy_unitarity_error(V):
+    """The d x d check's measure: max |V V^dagger - 1|."""
+    return float(np.max(np.abs(V @ V.conj().T - np.eye(2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_size=st.floats(-13.0, -6.0),
+       kind=st.sampled_from(["scale", "shrink", "random"]))
+@example(seed=0, log_size=math.log10(0.5e-9), kind="scale")
+@example(seed=0, log_size=math.log10(2e-9), kind="scale")
+@example(seed=1, log_size=math.log10(0.5e-9), kind="shrink")
+@example(seed=1, log_size=math.log10(2e-9), kind="shrink")
+def test_unitary_2x2_scalar_check_matches_numpy(seed, log_size, kind):
+    # a unitary perturbed by s: (1 +- s) U U^dagger for the scalings, one
+    # random direction of size s otherwise
+    rng = np.random.default_rng(seed)
+    U = haar_unitary(2, rng)
+    s = 10.0 ** log_size
+    if kind == "scale":
+        V = math.sqrt(1.0 + s) * U
+    elif kind == "shrink":
+        V = math.sqrt(1.0 - s) * U
+    else:
+        Z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        V = U + s * Z / np.max(np.abs(Z))
+    err = _numpy_unitarity_error(V)
+    try:
+        gates_mod._unitary(V, 2)
+        accepted = True
+    except ValueError as e:
+        assert str(e) == "matrix is not unitary within 1e-9"
+        accepted = False
+    if err <= 0.5e-9:
+        assert accepted
+    if err >= 2e-9:
+        assert not accepted
+    if abs(err - 1e-9) > 1e-15:       # away from rounding at the tolerance itself
+        assert accepted == (err <= 1e-9)
+    if kind != "random":          # a scaling moves the diagonal of U U^dagger by s
+        assert abs(err - s) <= 1e-15 + 1e-6 * s
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
+                                 complex(0.0, math.inf), 1.5e308 * (1 + 1j)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_unitary_2x2_rejects_non_finite(bad, where):
+    U = np.array([[0.6, 0.8j], [0.8j, 0.6]], dtype=complex)
+    gates_mod._unitary(U, 2)
+    U[where] = bad
+    with pytest.raises(ValueError, match="not unitary within 1e-9"):
+        gates_mod._unitary(U, 2)
+    with pytest.raises(ValueError, match="not unitary within 1e-9"):
+        TwoLevelOp(k=0, k2=1, u2=U)
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (1, 2), (2, 1), (2, 3), (3, 3), (1, 2, 2), ()])
+def test_unitary_2x2_rejects_wrong_shape(shape):
+    U = np.zeros(shape, dtype=complex)
+    with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        gates_mod._unitary(U, 2)
+    with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        TwoLevelOp(k=0, k2=1, u2=U)
+
+
+def _shift_oracle(U, d):
+    """The n of the first SHIFT-by-n within 1e-9 of U, over all d
+    candidates, or None: the search the one-candidate test replaced."""
+    for n in range(d):
+        if np.max(np.abs(U - shift_matrix(d, n))) <= 1e-9:
+            return n
+    return None
+
+
+def _near_identity(d, eps, rng):
+    """exp(i eps H) for a random Hermitian H with largest entry 1: a
+    unitary about eps away from the identity."""
+    H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    H = H + H.conj().T
+    vals, vecs = np.linalg.eigh(H / np.max(np.abs(H)))
+    return (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_shift_shortcut_matches_search_over_all_shifts(d):
+    spec = _spec(d)
+    t_kepler = time_scales(spec).t_kepler
+    rng = np.random.default_rng(d)
+    targets = []
+    for n in range(d):
+        S = shift_matrix(d, n)
+        targets += [S @ _near_identity(d, eps, rng) for eps in (0.0, 1e-11, 3e-10, 5e-9, 1e-6)]
+        targets.append(1j * S)
+    targets += [_haar(d, 100 + d), np.eye(d)[rng.permutation(d)]]
+    found = 0
+    for U in targets:
+        n = _shift_oracle(U, d)
+        sched = compile_unitary(U, spec)
+        if n is None:
+            assert sched.manifold_pulse_count() > 0
+        else:
+            found += 1
+            assert sched.primitives == ([Wait(duration=n * t_kepler / d)] if n else [])
+    assert found >= 3 * d
+
+
+def test_merge_same_pair_identity_test_matches_numpy():
+    # two factors on one pair whose product lies about eps from the
+    # identity: merged, and dropped when every entry is within 1e-12
+    rng = np.random.default_rng(5)
+    kept_counts = []
+    for eps in (0.0, 1e-14, 4e-13, 9e-13, 2e-12, 1e-11, 1e-3):
+        for _ in range(20):
+            u2 = haar_unitary(2, rng)
+            ops = [TwoLevelOp(k=0, k2=1, u2=u2),
+                   TwoLevelOp(k=0, k2=1, u2=_near_identity(2, eps, rng) @ u2.conj().T)]
+            product = ops[1].u2 @ ops[0].u2
+            kept = np.max(np.abs(product - np.eye(2))) > 1e-12
+            assert len(merge_same_pair(ops)) == int(kept)
+            kept_counts.append(kept)
+    assert 0 < sum(kept_counts) < len(kept_counts)

@@ -7,6 +7,7 @@ import pytest
 
 from rydpacket import ManifoldSpec, time_scales
 from rydpacket.manifold import (
+    MAX_NBAR,
     SPECTRUM_MODES,
     detunings,
     exact_detunings,
@@ -104,3 +105,55 @@ def test_detunings_dispatch():
         assert detunings(spec, mode).shape == (D,)
     with pytest.raises(ValueError):
         detunings(spec, "cubic")
+
+
+def test_nbar_upper_bound():
+    assert ManifoldSpec(nbar=MAX_NBAR, d=4).nbar == MAX_NBAR
+    for nbar in (MAX_NBAR + 1, 10**160, 10**400, math.inf, math.nan):
+        with pytest.raises(ValueError, match="nbar must be"):
+            ManifoldSpec(nbar=nbar, d=4)
+    # at the bound the time scales are finite (t_superrevival = pi nbar^5)
+    ts = time_scales(ManifoldSpec(nbar=MAX_NBAR, d=4))
+    assert math.isfinite(ts.t_superrevival)
+
+
+@pytest.mark.parametrize("mode", SPECTRUM_MODES)
+@pytest.mark.parametrize("nbar, d", [(180, 8), (37, 5), (MAX_NBAR, 2)])
+def test_detunings_are_cached_and_read_only(mode, nbar, d):
+    spec = ManifoldSpec(nbar=nbar, d=d)
+    w = detunings(spec, mode)
+    assert detunings(ManifoldSpec(nbar=nbar, d=d), mode) is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    with pytest.raises(ValueError):
+        w += 1.0
+    # the formulas, computed here
+    n, j = float(nbar), np.arange(-((d - 1) // 2), d // 2 + 1).astype(float)
+    if mode == "exact":
+        want = -1.0 / (2.0 * (n + j) ** 2) + 1.0 / (2.0 * n**2)
+    else:
+        t_k, t_r, t_s = 2.0 * math.pi * n**3, 4.0 * np.pi * n**4 / 3.0, np.pi * n**5
+        want = j / t_k
+        if mode in ("taylor2", "taylor3"):
+            want = want - j**2 / t_r
+        if mode == "taylor3":
+            want = want + j**3 / t_s
+        want = 2.0 * math.pi * want
+    assert np.array_equal(w, want)
+
+
+def test_time_scales_are_cached():
+    ts = time_scales(ManifoldSpec(nbar=NBAR, d=D))
+    assert time_scales(ManifoldSpec(nbar=NBAR, d=D)) is ts
+    n = float(NBAR)
+    assert (ts.t_kepler, ts.t_revival, ts.t_superrevival) == (
+        2.0 * math.pi * n**3, 4.0 * np.pi * n**4 / 3.0, np.pi * n**5)
+    with pytest.raises(AttributeError):
+        ts.t_kepler = 1.0
+
+
+@pytest.mark.parametrize("mode", ["taylor4", "", ["exact"], None])
+def test_detunings_reject_unknown_mode(mode):
+    with pytest.raises(ValueError, match="unknown spectrum mode"):
+        detunings(ManifoldSpec(nbar=NBAR, d=D), mode)

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -335,7 +334,7 @@ def _pulse_solves(spec, pulse, mode, v):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pulse_mod, "solve_ivp", capture)
-        mp.setattr(pulse_mod, "_PROPAGATORS", OrderedDict())     # force a fresh U0 solve
+        pulse_mod._propagator.cache_clear()     # force a fresh U0 solve
         integrate_pulse(SimulationState(spec=spec, b_energy=v[2:], b_g=v[0], b_e=v[1],
                                         t=pulse.t_start), pulse, mode=mode)
         pulse_propagator(spec, pulse, mode)

@@ -15,7 +15,7 @@ from rydpacket.basis import packet_to_energy_matrix
 from rydpacket.cli import main
 from rydpacket.constants import LN2, TIME_UNITS
 from rydpacket.gates import random_two_level_unitary
-from rydpacket.manifold import SPECTRUM_MODES
+from rydpacket.manifold import MAX_NBAR, SPECTRUM_MODES
 from rydpacket.pulse import FWHM_RANGE_KEPLER, PulseSpec, pi_pulse_peak_rabi
 from rydpacket.scenarios import (
     ConfigError,
@@ -739,3 +739,55 @@ def test_cli_run_rejects_non_finite_scenario_param(tmp_path, capsys):
                                     "params": {"detuning": math.nan}}))
     assert main(["run", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_nbar_bound_itself_compiles_and_verifies(tmp_path, capsys):
+    ufile, sfile = tmp_path / "u4.json", tmp_path / "sched.json"
+    _dump_unitary(ufile, random_two_level_unitary(ManifoldSpec(nbar=180, d=4), 3))
+    assert main(["compile", str(ufile), "--nbar", str(MAX_NBAR), "-o", str(sfile)]) == 0
+    assert main(["verify", str(sfile), str(ufile)]) == 0
+    assert "PASS verify (full pulses, exact spectrum)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("nbar", [MAX_NBAR + 1, 10**160, 10**400],
+                         ids=["bound+1", "1e160", "1e400"])
+@pytest.mark.parametrize("entry", ["schedule-json", "yaml-manifold", "compile", "nbars",
+                                   "shift_gate_demo", "compile_random_unitary"])
+def test_nbar_beyond_bound_is_a_config_error(tmp_path, capsys, entry, nbar):
+    # 1e160 and 1e400 once ended in OverflowError tracebacks (exit 1)
+    if entry == "schedule-json":
+        sfile, ufile, doc = _compiled_schedule(tmp_path)
+        doc["nbar"] = nbar
+        sfile.write_text(json.dumps(doc))
+        argv = ["verify", str(sfile), str(ufile)]
+    elif entry == "compile":
+        ufile = tmp_path / "u4.json"
+        _dump_unitary(ufile, random_two_level_unitary(ManifoldSpec(nbar=180, d=4), 3))
+        argv = ["compile", str(ufile), "--nbar", str(nbar)]
+    else:
+        cfg = {"yaml-manifold": _decl(nbar=nbar, d=4, initial_state={"packet": 0},
+                                      events=[{"wait": "1 kepler"}]),
+               "nbars": {"scenario": "dispersion_nbar_scaling",
+                         "params": {"nbars": [180, nbar]}},
+               "shift_gate_demo": {"scenario": entry, "params": {"nbar": nbar}},
+               "compile_random_unitary": {"scenario": entry, "params": {"nbar": nbar}}}[entry]
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        argv = ["run", str(path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"nbar must be <= {MAX_NBAR}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["nbar", "d"])
+@pytest.mark.parametrize("value", [math.inf, 1e400, 180.5, 4.0, "180", True],
+                         ids=["inf", "1e400", "180.5", "4.0", "string", "bool"])
+def test_declarative_manifold_needs_integers(tmp_path, capsys, field, value):
+    # inf and 1e400 (read as inf) once ended in an OverflowError traceback,
+    # and 180.5 ran silently as nbar 180
+    cfg = _decl(d=4, initial_state={"packet": 0}, events=[{"wait": "1 kepler"}])
+    cfg["manifold"][field] = value
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["run", str(path)]) == 2
+    assert f"config.manifold.{field}: expected an integer" in capsys.readouterr().err
