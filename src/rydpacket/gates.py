@@ -43,7 +43,8 @@ The default gate pulse FWHM is 0.25 ln2 t_kepler / d, half the
 bandwidth-limit demonstration value: transfer to slots adjacent to the
 addressed one falls quadratically with pulse length, and the shorter
 pulse keeps the per-pulse neighbor loss near 1 percent, which is what
-lets a compiled fragment stay above 0.9 process fidelity at nbar = 180.
+lets a compiled fragment stay above 0.9 process fidelity at nbar = 180
+in the full pulse model (which couples storage to the d levels only).
 """
 
 import cmath
@@ -61,10 +62,11 @@ from .pulse import (
     MAX_PULSE_AREA,
     PulseSpec,
     SimulationState,
+    _propagator,
     check_input_fwhm,
     integrate_pulse,
+    kernel_orientations,
     pi_pulse_peak_rabi,
-    pulse_propagator,
 )
 from .evolution import TraceRecord, shift_matrix
 
@@ -140,9 +142,12 @@ def decompose_unitary(U: np.ndarray, spec: ManifoldSpec) -> list[TwoLevelOp]:
     slot pairs.  Result: U equals the ops applied in list order, to
     machine precision, with at most d(d-1)/2 + ceil(d/2) factors.
     """
-    d = spec.d
-    U = _unitary(U, d)
+    return _decompose(_unitary(U, spec.d), spec)
 
+
+def _decompose(U: np.ndarray, spec: ManifoldSpec) -> list[TwoLevelOp]:
+    """decompose_unitary of a U that _unitary has already checked."""
+    d = spec.d
     ks = spec.k_values
     M = U.copy()
     rotations: list[TwoLevelOp] = []   # elimination order
@@ -423,7 +428,7 @@ def schedule_from_json(text: str) -> GateSchedule:
     check_input_fwhm(spec, fwhm)
     if not rabi > 0:
         raise ValueError("peak_rabi_au must be positive")
-    pi_peak = pi_pulse_peak_rabi(spec, fwhm)
+    pi_peak = _pi_peak_rabi(spec, fwhm)
     if not rabi <= MAX_PULSE_AREA / math.pi * pi_peak:
         raise ValueError(f"peak_rabi_au {rabi!r} gives a pulse area beyond +-100 pi "
                          f"(a pi pulse takes {pi_peak!r})")
@@ -456,6 +461,14 @@ def schedule_from_json(text: str) -> GateSchedule:
 
 # ---------------------------------------------------------------------------
 # compilation
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _pi_peak_rabi(spec: ManifoldSpec, fwhm: float) -> float:
+    """pi_pulse_peak_rabi(spec, fwhm), computed once per manifold and
+    FWHM for compiled and parsed schedules (which meet a few FWHMs again
+    and again, where single pulses of the scenarios rarely repeat one)."""
+    return pi_pulse_peak_rabi(spec, fwhm)
 
 
 def next_core_crossing(spec: ManifoldSpec, slot: int, t_min: float) -> float:
@@ -561,19 +574,22 @@ def compile_unitary(
         pulse_fwhm = DEFAULT_GATE_FWHM_FACTOR * ts.t_kepler / d
     sched = GateSchedule(
         nbar=spec.nbar, d=d, pulse_fwhm=pulse_fwhm,
-        peak_rabi=pi_pulse_peak_rabi(spec, pulse_fwhm),
+        peak_rabi=_pi_peak_rabi(spec, pulse_fwhm),
     )
 
     # SHIFT-by-n has its column-0 one in row n, so the largest entry of
-    # U's column 0 names the only shift U can lie within 1e-9 of
+    # U's column 0 names the only shift U can lie within 1e-9 of.  U is
+    # compared with it whole only once each of its ones is matched by an
+    # entry of U within 1e-9 (scalar checks that stop at the first miss)
     n = int(np.argmax(np.abs(U[:, 0])))
-    if np.max(np.abs(U - shift_matrix(d, n))) <= UNITARITY_TOL:
+    if (all(abs(U[(j + n) % d, j] - 1.0) <= UNITARITY_TOL for j in range(d))
+            and np.max(np.abs(U - shift_matrix(d, n))) <= UNITARITY_TOL):
         if n > 0:
             sched.primitives.append(Wait(duration=n * ts.t_kepler / d))
         return sched
 
     comp = _Compiler(spec, pulse_fwhm)
-    for op in merge_same_pair(decompose_unitary(U, spec)):
+    for op in merge_same_pair(_decompose(U, spec)):
         comp.add_fragment(op)
         comp.pad_to_kepler()
     sched.primitives = comp.prims
@@ -603,6 +619,9 @@ def schedule_operator(
     K is the cached propagator U0 of the pulse shape
     (pulse.pulse_propagator) for pulses='full', and the instantaneous
     perfect swap of storage and core slot at t = 0 for pulses='ideal'.
+    Either kernel is cached in both orientations it acts in (its storage
+    row and column first for a pulse on g, last for one on e): U0 in
+    the propagator's cache entry, the swap once per d.
     """
     if pulses not in ("full", "ideal"):
         raise ValueError(f"pulses must be 'full' or 'ideal', got {pulses!r}")
@@ -633,32 +652,50 @@ def schedule_operator(
             raise TypeError(f"unknown primitive {prim!r}")
     if manifold:
         if pulses == "ideal":
-            # s' = i c.b, b' = b + c^H (i s - c.b), with c.b the core-slot
-            # amplitude of the levels b and s the storage amplitude
-            c = energy_to_packet_matrix(d)[spec.slot_index(0)]
-            K = np.empty((d + 1, d + 1), dtype=complex)
-            K[0, 0] = 0.0
-            K[0, 1:] = 1j * c
-            K[1:, 0] = 1j * c.conj()
-            K[1:, 1:] = np.eye(d) - np.outer(c.conj(), c)
-        else:
-            K = pulse_propagator(
-                spec, PulseSpec(fwhm=schedule.pulse_fwhm, peak_rabi=schedule.peak_rabi), mode)
+            kernels = _swap_kernels(d)
+        else:       # resonant pulses: carrier detuning 0
+            kernels = _propagator(spec, mode, schedule.pulse_fwhm, schedule.peak_rabi, 0.0)[1]
         on_e = np.array([p.target == "e" for p in manifold])
         # each pulse's frame vector (1, e^{i phi} e^{-i w t}), in view order
         q = np.ones((len(manifold), d + 2), dtype=complex)
         q[:, 1:-1] = (np.exp(1j * np.array([p.phase for p in manifold]))[:, None]
                       * np.exp(np.multiply.outer(centers, -1j * w)))
         q = np.where(on_e[:, None], q[:, 1:], q[:, :-1])
-        # P[i] = Q^-1 K Q for pulse i
-        P = np.stack((K, np.roll(K, -1, axis=(0, 1))))[on_e.astype(int)]
+        # P[i] = Q^-1 K Q for pulse i, K in its view's orientation
+        P = kernels.take(on_e.astype(int), axis=0)
         P *= q.conj()[:, :, None]
         P *= q[:, None, :]
     S = np.array(runs, dtype=complex).reshape(-1, 2, 2)
     for view, i in steps:
         view[...] = (S[i] if view is storage else P[i]) @ view
+    return M.take(_output_order(d)), t_end
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _swap_kernels(d: int) -> np.ndarray:
+    """kernel_orientations of the ideal pulse kernel: the instantaneous
+    perfect swap of storage and core slot k = 0 (row (d - 1) // 2 of
+    the DFT matrix)."""
+    # s' = i c.b, b' = b + c^H (i s - c.b), with c.b the core-slot
+    # amplitude of the levels b and s the storage amplitude
+    c = energy_to_packet_matrix(d)[(d - 1) // 2]
+    K = np.empty((d + 1, d + 1), dtype=complex)
+    K[0, 0] = 0.0
+    K[0, 1:] = 1j * c
+    K[1:, 0] = 1j * c.conj()
+    K[1:, 1:] = np.eye(d) - np.outer(c.conj(), c)
+    return kernel_orientations(K)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _output_order(d: int) -> np.ndarray:
+    """Flat indices that take a (d+2) x (d+2) operator from (g, levels, e)
+    order to (g, e, levels) order, the permutation [0, d+1, 1..d] on
+    rows and columns; read-only."""
     order = np.r_[0, d + 1, 1:d + 1]
-    return M[np.ix_(order, order)], t_end
+    flat = order[:, None] * (d + 2) + order
+    flat.flags.writeable = False
+    return flat
 
 
 def _product2(a, b):

@@ -27,9 +27,11 @@ SPECTRUM_MODES = ("exact", "taylor1", "taylor2", "taylor3")
 # time scales (t_superrevival grows as nbar^5) overflow a float; at it a
 # compiled gate still verifies in the full pulse model.
 MAX_NBAR = 10**6
-# Entries kept by each per-process cache of the package (the DFT matrix
-# per d, time scales per manifold, detunings per manifold and spectrum
-# mode, fidelity probes per manifold, pulse propagators per shape).  The
+# Entries kept by each per-process cache of the package (the DFT matrix,
+# the ideal pulse kernel and the gate operator's output order per d,
+# time scales per manifold, detunings per manifold and spectrum mode,
+# fidelity probes per manifold, compiled gates' pi-pulse Rabi
+# frequencies per manifold and FWHM, pulse propagators per shape).  The
 # most distinct keys a benchmark workload meets in one cache is about
 # 400 (detunings, scenarios_cli), so none of them evicts there; an entry
 # holds at most O(d^2) numbers.

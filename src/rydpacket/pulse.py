@@ -644,19 +644,31 @@ def pulse_propagator(spec: ManifoldSpec, pulse: PulseSpec, mode: str = "exact") 
     kept in a bounded process-wide cache.  The returned array is
     read-only.
     """
-    return _propagator(spec, mode, pulse.fwhm, pulse.peak_rabi, pulse.carrier_detuning)
+    return _propagator(spec, mode, pulse.fwhm, pulse.peak_rabi, pulse.carrier_detuning)[0]
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _propagator(spec: ManifoldSpec, mode: str, fwhm: float, peak_rabi: float,
-                carrier_detuning: float) -> np.ndarray:
+                carrier_detuning: float) -> tuple[np.ndarray, np.ndarray]:
+    """(U0, kernel_orientations(U0)) of the pulse shape; U0 is the
+    first entry of the second."""
     shape = PulseSpec(fwhm=fwhm, peak_rabi=peak_rabi, carrier_detuning=carrier_detuning)
     deltas = detunings(spec, mode) + shape.carrier_detuning
     omega = rabi_profile(spec, shape.peak_rabi).omega_j
     n = spec.d + 1
-    U0 = _solve_pulse(shape, omega, deltas, np.eye(n, dtype=complex)).y[..., -1].copy()
+    kernels = kernel_orientations(
+        _solve_pulse(shape, omega, deltas, np.eye(n, dtype=complex)).y[..., -1])
+    U0 = kernels[0]
     err = float(np.max(np.abs(U0.conj().T @ U0 - np.eye(n))))
     if not err <= NORM_TOLERANCE:
         raise RuntimeError(f"pulse propagator is off unitary by {err:.3e}")
-    U0.flags.writeable = False
-    return U0
+    return U0, kernels
+
+
+def kernel_orientations(K: np.ndarray) -> np.ndarray:
+    """The (d+1) x (d+1) pulse kernel K over (storage, levels) and K
+    over (levels, storage), its storage row and column moved last,
+    stacked into one read-only (2, d+1, d+1) array."""
+    kernels = np.stack((K, np.roll(K, -1, axis=(0, 1))))
+    kernels.flags.writeable = False
+    return kernels

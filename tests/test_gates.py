@@ -760,7 +760,8 @@ def test_run_program_rejects_bad_items():
 
 
 _CACHES = (basis_mod._dft_matrix, manifold_mod._time_scales, manifold_mod._detunings,
-           gates_mod._probe_matrices, pulse_mod._propagator)
+           gates_mod._probe_matrices, gates_mod._swap_kernels, gates_mod._output_order,
+           gates_mod._pi_peak_rabi, pulse_mod._propagator)
 
 
 def _clear_caches():
@@ -786,6 +787,60 @@ def test_probe_matrices_are_cached_and_read_only(d):
     assert isinstance(listed, list) and len(listed) == 2 * d + 1
     assert np.array_equal(probes, np.stack(listed, axis=1))
     assert np.array_equal(energy, packet_to_energy_matrix(d) @ np.stack(listed, axis=1))
+
+
+def _assert_read_only(a):
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[(0,) * a.ndim] = 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_kernels_and_output_order_are_cached_and_read_only(d):
+    spec = _spec(d)
+    fwhm = DEFAULT_GATE_FWHM_FACTOR * time_scales(spec).t_kepler / d
+    rabi = pi_pulse_peak_rabi(spec, fwhm)
+    U0, kernels = pulse_mod._propagator(spec, "exact", fwhm, rabi, 0.0)
+    swap = gates_mod._swap_kernels(d)
+    order = gates_mod._output_order(d)
+    for a in (U0, kernels, swap, order):
+        _assert_read_only(a)
+    assert pulse_mod.pulse_propagator(spec, PulseSpec(fwhm=fwhm, peak_rabi=rabi)) is U0
+    assert gates_mod._swap_kernels(d) is swap and gates_mod._output_order(d) is order
+    # each kernel in both orientations: the storage row and column first, then last
+    for K2 in (kernels, swap):
+        assert K2.shape == (2, d + 1, d + 1)
+        assert np.array_equal(K2[1], np.roll(K2[0], -1, axis=(0, 1)))
+    assert np.array_equal(kernels[0], U0)
+    # the ideal kernel swaps storage and the core slot k = 0 with a factor i
+    core = np.zeros(d, dtype=complex)
+    core[spec.slot_index(0)] = 1.0
+    bt = packet_to_energy_matrix(d) @ core
+    np.testing.assert_allclose(swap[0] @ np.r_[0.0, bt], np.r_[1j, np.zeros(d)], atol=1e-15)
+    np.testing.assert_allclose(swap[0] @ np.r_[1.0, np.zeros(d)], np.r_[0.0, 1j * bt], atol=1e-15)
+    # the output order takes (g, levels, e) rows and columns to (g, e, levels)
+    perm = [0, d + 1, *range(1, d + 1)]
+    M = np.arange((d + 2) ** 2).reshape(d + 2, d + 2)
+    assert np.array_equal(M.take(order), M[np.ix_(perm, perm)])
+    # compiled schedules compute the pi-pulse Rabi frequency once per
+    # (manifold, FWHM)
+    gates_mod._pi_peak_rabi.cache_clear()
+    assert compile_unitary(_haar(d, 1), spec).peak_rabi == rabi
+    assert compile_unitary(_haar(d, 2), _spec(d), fwhm).peak_rabi == rabi
+    assert gates_mod._pi_peak_rabi.cache_info()[:2] == (1, 1)      # hits, misses
+
+
+def test_compiled_json_is_bit_equal_with_cold_and_warm_caches():
+    # Haar, two-level and shift targets, d = 2..8: compile_unitary with
+    # every cache emptied first writes the same JSON as with warm caches
+    rng = np.random.default_rng(21)
+    for d in range(2, 9):
+        spec = ManifoldSpec(nbar=int(rng.choice([176, 180, 184])), d=d)
+        for U in (haar_unitary(d, rng), random_two_level_unitary(spec, d), shift_matrix(d, 1)):
+            _clear_caches()
+            cold = schedule_to_json(compile_unitary(U, spec))
+            assert schedule_to_json(compile_unitary(U, spec)) == cold
+            assert schedule_to_json(schedule_from_json(cold)) == cold
 
 
 def _fidelity_formula(M, t_end, spec, U, mode):
@@ -826,6 +881,13 @@ def test_cached_constants_leave_operator_and_fidelity_bit_equal(mode, pulses):
         assert f_cold == _fidelity_formula(M, t_end, spec, U, mode)
 
 
+# What err carries besides s, in units of machine epsilon: up to 8 from
+# the Haar U's own U U^dagger - 1 (QR and the phase fix; the largest in
+# 3e4 seeds), and about 5 from rounding the scaling V = sqrt(1 +- s) U
+# and the 2-term complex dot products of V V^dagger.
+_SCALED_ERR_ROUNDING = 16 * np.finfo(float).eps
+
+
 def _numpy_unitarity_error(V):
     """The d x d check's measure: max |V V^dagger - 1|."""
     return float(np.max(np.abs(V @ V.conj().T - np.eye(2))))
@@ -838,6 +900,7 @@ def _numpy_unitarity_error(V):
 @example(seed=0, log_size=math.log10(2e-9), kind="scale")
 @example(seed=1, log_size=math.log10(0.5e-9), kind="shrink")
 @example(seed=1, log_size=math.log10(2e-9), kind="shrink")
+@example(seed=8118, log_size=-10.0, kind="shrink")     # |err - s| is 6 ulp of 1 here
 def test_unitary_2x2_scalar_check_matches_numpy(seed, log_size, kind):
     # a unitary perturbed by s: (1 +- s) U U^dagger for the scalings, one
     # random direction of size s otherwise
@@ -865,7 +928,7 @@ def test_unitary_2x2_scalar_check_matches_numpy(seed, log_size, kind):
     if abs(err - 1e-9) > 1e-15:       # away from rounding at the tolerance itself
         assert accepted == (err <= 1e-9)
     if kind != "random":          # a scaling moves the diagonal of U U^dagger by s
-        assert abs(err - s) <= 1e-15 + 1e-6 * s
+        assert abs(err - s) <= _SCALED_ERR_ROUNDING + 1e-6 * s
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
@@ -919,6 +982,8 @@ def test_shift_shortcut_matches_search_over_all_shifts(d):
         targets += [S @ _near_identity(d, eps, rng) for eps in (0.0, 1e-11, 3e-10, 5e-9, 1e-6)]
         targets.append(1j * S)
     targets += [_haar(d, 100 + d), np.eye(d)[rng.permutation(d)]]
+    # some of their columns are those of the identity
+    targets += [random_two_level_unitary(spec, seed) for seed in range(3)]
     found = 0
     for U in targets:
         n = _shift_oracle(U, d)
