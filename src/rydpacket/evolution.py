@@ -13,6 +13,9 @@ t = n t_kepler / d the kernel is exactly a delta at m = n mod d: free
 flight for an integer number of slot times is the cyclic SHIFT gate.
 With the exact Coulomb spectrum the delta spreads; the leakage is the
 dispersion loss that limits gate fidelity.
+
+trace_rows builds every row of a program trace, for the flight of
+gates.run_program and the pulses of pulse.integrate_pulse alike.
 """
 
 from dataclasses import dataclass, field
@@ -59,26 +62,22 @@ def shift_fidelity(spec: ManifoldSpec, n: int, mode: str = "exact") -> float:
 
     Starts from the k = 0 packet, evolves for n slot times under the
     given spectrum model, and compares with the ideally shifted packet:
-    |<SHIFT bt, evolved bt>|^2.  Equals 1 exactly in 'taylor1'
-    mode; under the exact spectrum the deficit is the accumulated
-    dispersion loss (about 5 percent over one Kepler period at
-    nbar = 180, d = 8).
+    |<SHIFT bt, evolved bt>|^2 = |kernel entries[n mod d]|^2.  Equals 1
+    exactly in 'taylor1' mode; under the exact spectrum the deficit is
+    the accumulated dispersion loss (about 5 percent over one Kepler
+    period at nbar = 180, d = 8).
     """
-    ts = time_scales(spec)
-    kern = evolution_kernel(spec, n * ts.t_kepler / spec.d, mode)
-    bt0 = np.zeros(spec.d, dtype=complex)
-    bt0[spec.slot_index(0)] = 1.0
-    evolved = kern.as_matrix() @ bt0
-    ideal = shift_matrix(spec.d, n) @ bt0
-    return float(abs(np.vdot(ideal, evolved)) ** 2)
+    kern = evolution_kernel(spec, n * time_scales(spec).t_kepler / spec.d, mode)
+    return float(abs(kern.entries[n % spec.d]) ** 2)
 
 
-def autocorrelation(b_energy: np.ndarray, spec: ManifoldSpec, t: float,
-                    mode: str = "exact") -> float:
-    """|<psi(0)|psi(t)>|^2 for free flight of energy amplitudes."""
+def autocorrelation(b_energy: np.ndarray, spec: ManifoldSpec, t: float | np.ndarray,
+                    mode: str = "exact") -> float | np.ndarray:
+    """|<psi(0)|psi(t)>|^2 for free flight of energy amplitudes, a float
+    at a time t or an array of t's shape at an array of times."""
     p = np.abs(np.asarray(b_energy, dtype=complex)) ** 2
-    w = detunings(spec, mode)
-    return float(abs(np.sum(p * np.exp(-1j * w * t))) ** 2)
+    ac = np.abs(np.exp(-1j * np.multiply.outer(t, detunings(spec, mode))) @ p) ** 2
+    return float(ac) if np.ndim(t) == 0 else ac
 
 
 @dataclass
@@ -125,6 +124,20 @@ class TraceRecord:
             fh.write("\n".join(lines) + "\n")
 
 
+def trace_rows(spec: ManifoldSpec, t: np.ndarray, b_energy: np.ndarray, b_g, b_e,
+               mode: str = "exact") -> TraceRecord:
+    """Trace rows (packet populations, pop_g, pop_e, |norm - 1|) at times t
+    of the level amplitudes b_energy, one set (d,) in free flight or one
+    per sample (len(t), d), and storage amplitudes b_g, b_e, each one
+    value or one per sample."""
+    pops = np.abs(packet_amplitudes_at(b_energy, spec, t, mode)) ** 2
+    # the builtin abs keeps Python's complex abs for a scalar amplitude
+    pop_g = np.full(t.shape, abs(b_g) ** 2)
+    pop_e = np.full(t.shape, abs(b_e) ** 2)
+    return TraceRecord(spec=spec, t_au=t, packet_populations=pops, pop_g=pop_g, pop_e=pop_e,
+                       norm_error=np.abs(np.sqrt(pop_g + pop_e + pops.sum(axis=1)) - 1.0))
+
+
 def revival_scan(spec: ManifoldSpec, b_energy: np.ndarray, t_grid: np.ndarray,
                  mode: str = "exact") -> TraceRecord:
     """Packet populations and autocorrelation on a time grid.
@@ -132,11 +145,10 @@ def revival_scan(spec: ManifoldSpec, b_energy: np.ndarray, t_grid: np.ndarray,
     Free flight only.  Used to locate the revival of a dispersed packet
     near t_revival, where the quadratic spectrum phases re-align.
     """
-    b = np.asarray(b_energy, dtype=complex)
     t_grid = np.asarray(t_grid, dtype=float)
-    pops = np.abs(packet_amplitudes_at(b, spec, t_grid, mode)) ** 2
-    ac = np.abs(np.exp(-1j * np.outer(t_grid, detunings(spec, mode))) @ np.abs(b) ** 2) ** 2
-    return TraceRecord(spec=spec, t_au=t_grid, packet_populations=pops, autocorr=ac)
+    pops = np.abs(packet_amplitudes_at(b_energy, spec, t_grid, mode)) ** 2
+    return TraceRecord(spec=spec, t_au=t_grid, packet_populations=pops,
+                       autocorr=autocorrelation(b_energy, spec, t_grid, mode))
 
 
 def find_autocorr_peak(trace: TraceRecord) -> tuple[float, float]:

@@ -29,7 +29,8 @@ operator over (g, e, levels), and run_program and process_fidelity
 apply it to one state or to the stacked probe set.  run_program is the
 one executor for timed programs: a list of waits, single pulses and
 gate schedules run in order on a state's clock, optionally sampled
-into one trace.  Declarative configs and the scenarios lower onto it.
+into one trace of evolution.trace_rows.  Declarative configs and the
+scenarios lower onto it.
 All manifold pulses of a schedule share one shape and are resonant, so
 in both pulse models every pulse is one (d+1) x (d+1) kernel K
 conjugated by its pulse frame Q = diag(1, e^{i phi} e^{-i w t_c}):
@@ -55,20 +56,20 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import energy_to_packet_matrix, packet_amplitudes_at
+from .basis import energy_to_packet_matrix
 from .constants import AU_TIME_NS, LN2
 from .manifold import CACHE_SIZE, ManifoldSpec, detunings, time_scales
 from .pulse import (
-    MAX_PULSE_AREA,
     PulseSpec,
     SimulationState,
     _propagator,
+    check_input_area,
     check_input_fwhm,
     integrate_pulse,
     kernel_orientations,
     pi_pulse_peak_rabi,
 )
-from .evolution import TraceRecord, shift_matrix
+from .evolution import TraceRecord, shift_matrix, trace_rows
 
 UNITARITY_TOL = 1e-9
 IDENTITY_TOL = 1e-12
@@ -418,20 +419,16 @@ def _json_int(obj: dict, key: str) -> int:
 def schedule_from_json(text: str) -> GateSchedule:
     """Parse schedule JSON.  Malformed fields raise ValueError, KeyError
     or TypeError: nbar and d must make a valid ManifoldSpec, the pulse
-    FWHM must lie within FWHM_RANGE_KEPLER Kepler periods, the peak Rabi
-    frequency must be positive, the pulse area at most MAX_PULSE_AREA,
-    every number finite, every slot on the manifold and every target
-    'g' or 'e'."""
+    FWHM must pass pulse.check_input_fwhm, the peak Rabi frequency must
+    be positive and pass pulse.check_input_area, every number must be
+    finite, every slot on the manifold and every target 'g' or 'e'."""
     doc = json.loads(text)
     spec = ManifoldSpec(nbar=_json_int(doc, "nbar"), d=_json_int(doc, "d"))
     fwhm, rabi = _json_number(doc, "pulse_fwhm_au"), _json_number(doc, "peak_rabi_au")
     check_input_fwhm(spec, fwhm)
     if not rabi > 0:
         raise ValueError("peak_rabi_au must be positive")
-    pi_peak = _pi_peak_rabi(spec, fwhm)
-    if not rabi <= MAX_PULSE_AREA / math.pi * pi_peak:
-        raise ValueError(f"peak_rabi_au {rabi!r} gives a pulse area beyond +-100 pi "
-                         f"(a pi pulse takes {pi_peak!r})")
+    check_input_area(rabi, _pi_peak_rabi(spec, fwhm))
     prims: list = []
     for p in doc["primitives"]:
         kind = p["type"]
@@ -734,8 +731,9 @@ def run_program(
                     (population <= 1e-12).
 
     With n_trace >= 2 every flight and pulse segment is sampled at
-    n_trace points and the segments are joined into one TraceRecord, a
-    sample that two segments share kept once; a gate adds no samples.
+    n_trace points (evolution.trace_rows) and the segments are joined
+    into one TraceRecord, a sample that two segments share kept once; a
+    gate adds no samples.
     Returns the final state and the trace (None without samples).  An
     item that fails raises ProgramError with the item's index.
     """
@@ -746,7 +744,8 @@ def run_program(
 
     def fly(t1: float) -> None:
         if n_trace and t1 > state.t:
-            parts.append(_flight_trace(state, t1, n_trace, mode))
+            parts.append(trace_rows(state.spec, np.linspace(state.t, t1, n_trace),
+                                    state.b_energy, state.b_g, state.b_e, mode))
         state.t = t1
 
     for i, item in enumerate(program):
@@ -779,20 +778,6 @@ def run_program(
         except (RuntimeError, ValueError) as e:
             raise ProgramError(i, str(e)) from e
     return state, (_concat_traces(parts) if parts else None)
-
-
-def _flight_trace(state: SimulationState, t1: float, n: int, mode: str) -> TraceRecord:
-    """Free flight of state from its clock to t1, sampled at n points."""
-    grid = np.linspace(state.t, t1, n)
-    pops = np.abs(packet_amplitudes_at(state.b_energy, state.spec, grid, mode)) ** 2
-    return TraceRecord(
-        spec=state.spec,
-        t_au=grid,
-        packet_populations=pops,
-        pop_g=np.full(n, abs(state.b_g) ** 2),
-        pop_e=np.full(n, abs(state.b_e) ** 2),
-        norm_error=np.full(n, abs(state.norm() - 1.0)),
-    )
 
 
 def _concat_traces(parts: list[TraceRecord]) -> TraceRecord:

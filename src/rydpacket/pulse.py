@@ -38,7 +38,9 @@ and caches it, so every pulse of one shape, at any centre and phase,
 costs a (d+1) x (d+1) product; integrate_pulse integrates one state
 through one pulse on the absolute clock and stays the reference route.
 gates.run_program drives single pulses (PulseSpec items) through
-integrate_pulse and compiled schedules through the cached U0.
+integrate_pulse and compiled schedules through the cached U0; a traced
+integrate_pulse samples its dense output into evolution.trace_rows.
+check_input_fwhm and check_input_area bound every pulse given as input.
 
 Every ODE here (integrate_pulse, pulse_propagator and the detuned
 two_level_oracle) is one storage <-> levels Coupling, and goes through
@@ -59,7 +61,7 @@ import numpy as np
 
 from .basis import energy_to_packet_matrix, packet_amplitudes_at
 from .constants import LN2, TWO_PI
-from .evolution import TraceRecord
+from .evolution import trace_rows
 from .manifold import CACHE_SIZE, ManifoldSpec, detunings, time_scales
 
 TRUNCATION_SIGMAS = 4.0        # envelope support half-width, in sigma
@@ -159,6 +161,15 @@ def check_input_fwhm(spec: ManifoldSpec, fwhm: float) -> None:
     if not lo * t_kepler <= fwhm <= hi * t_kepler:
         raise ValueError(f"pulse FWHM {fwhm!r} au is outside {lo:g} .. {hi:g} t_kepler "
                          f"({lo * t_kepler!r} .. {hi * t_kepler!r} au)")
+
+
+def check_input_area(peak_rabi: float, pi_peak: float) -> None:
+    """ValueError unless |peak_rabi| <= (MAX_PULSE_AREA / pi) pi_peak, the
+    area bound of a pulse whose pi pulse takes pi_peak.  An area in
+    radians is checked as check_input_area(area, pi)."""
+    if not abs(peak_rabi) <= MAX_PULSE_AREA / math.pi * pi_peak:
+        raise ValueError(f"pulse area {peak_rabi / pi_peak * math.pi:.6g} rad is beyond "
+                         f"+-{MAX_PULSE_AREA:.6g} (100 pi)")
 
 
 def pi_pulse_peak_rabi(spec: ManifoldSpec, fwhm: float) -> float:
@@ -292,8 +303,8 @@ def integrate_pulse(
 
     The state's clock must not be past the pulse support start.  Returns
     the post-pulse state (clock at the support end).  With n_trace > 0
-    also returns a TraceRecord of populations sampled across the pulse
-    (packet populations on the slot grid of each sample time).
+    also returns the TraceRecord of n_trace samples across the pulse
+    support (evolution.trace_rows of the amplitudes at each sample).
 
     Integration uses the package's Dormand-Prince 5(4) stepper
     (solve_ivp: scipy RK45's steps, each applied as a step matrix) with
@@ -330,20 +341,8 @@ def integrate_pulse(
 
     ts = np.linspace(pulse.t_start, pulse.t_end, n_trace)
     Y = sol.sol(ts)
-    pops = np.abs(packet_amplitudes_at(Y[1:].T, spec, ts, mode)) ** 2
-    pop_s = np.abs(Y[0, :]) ** 2
-    # |norm(t) - 1|, as on flight segments and in the reports' norm_error
-    norm_err = np.abs(np.sqrt(pop_s + pops.sum(axis=1) +
-                              (abs(state.b_e) ** 2 if store_g else abs(state.b_g) ** 2)) - 1.0)
-    trace = TraceRecord(
-        spec=spec,
-        t_au=ts,
-        packet_populations=pops,
-        pop_g=pop_s if store_g else np.full_like(ts, abs(state.b_g) ** 2),
-        pop_e=np.full_like(ts, abs(state.b_e) ** 2) if store_g else pop_s,
-        norm_error=norm_err,
-    )
-    return out, trace
+    return out, trace_rows(spec, ts, Y[1:].T, Y[0] if store_g else state.b_g,
+                           state.b_e if store_g else Y[0], mode)
 
 
 def _solve_pulse(pulse: PulseSpec, omega: np.ndarray, deltas: np.ndarray, y0: np.ndarray,

@@ -57,9 +57,9 @@ from .gates import (
 )
 from .manifold import SPECTRUM_MODES, ManifoldSpec, detunings, time_scales
 from .pulse import (
-    MAX_PULSE_AREA,
     PulseSpec,
     SimulationState,
+    check_input_area,
     check_input_fwhm,
     core_rabi_dft,
     pi_pulse_peak_rabi,
@@ -96,10 +96,11 @@ def parse_quantity(value, where: str, spec: ManifoldSpec | None = None) -> float
     if isinstance(value, (int, float)):
         return _finite(value, where)
     if not isinstance(value, str):
-        raise ConfigError(f"{where}: expected a number or 'NUMBER unit' string")
+        raise ConfigError(f"{where}: expected a number or 'NUMBER unit' string, "
+                          f"got {_received(value)}")
     parts = value.split()
     if len(parts) != 2:
-        raise ConfigError(f"{where}: quantity must look like '0.89 ns', got {value!r}")
+        raise ConfigError(f"{where}: quantity must look like '0.89 ns', got {_received(value)}")
     try:
         num = float(parts[0])
     except ValueError:
@@ -116,10 +117,23 @@ def parse_quantity(value, where: str, spec: ManifoldSpec | None = None) -> float
     raise ConfigError(f"{where}: unknown unit {unit!r}")
 
 
+def _received(value) -> str:
+    """repr of a config value for an error message.  A string that reads
+    as a finite number gets a note: YAML 1.1 (PyYAML) loads an exponent
+    without a dot or without a sign, such as 1e-9, as a string."""
+    try:
+        numeric = isinstance(value, str) and math.isfinite(float(value))
+    except ValueError:
+        numeric = False
+    if numeric:
+        return f"the string {value!r} (YAML reads a number such as 1e-9 as text; write 1.0e-9)"
+    return repr(value)
+
+
 def _finite(value, where: str) -> float:
     """A config number as a finite float; booleans are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number")
+        raise ConfigError(f"{where}: expected a number, got {_received(value)}")
     try:
         x = float(value)
     except OverflowError:       # an integer beyond the float range
@@ -146,7 +160,7 @@ def _check_keys(mapping: Mapping, allowed: set, where: str) -> None:
 
 def _require_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer")
+        raise ConfigError(f"{where}: expected an integer, got {_received(value)}")
     return value
 
 
@@ -325,7 +339,7 @@ def _coerce_param(key: str, value, default):
     where = f"config.params.{key}"
     if isinstance(default, bool):
         if not isinstance(value, bool):
-            raise ConfigError(f"{where}: expected a boolean")
+            raise ConfigError(f"{where}: expected a boolean, got {_received(value)}")
         return value
     if isinstance(default, int):
         return _require_int(value, where)
@@ -333,7 +347,7 @@ def _coerce_param(key: str, value, default):
         return _finite(value, where)
     if isinstance(default, (list, tuple)):
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where}: expected a list of integers")
+            raise ConfigError(f"{where}: expected a list of integers, got {_received(value)}")
         return [_require_int(x, f"{where}[{i}]") for i, x in enumerate(value)]
     raise ConfigError(f"{where}: unsupported parameter type")
 
@@ -398,6 +412,30 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def _at_least(params: dict, key: str, lo) -> None:
+    """ConfigError naming config.params.<key> unless params[key] >= lo."""
+    if not params[key] >= lo:
+        raise ConfigError(f"config.params.{key}: must be >= {lo}, got {params[key]!r}")
+
+
+def _nonempty(params: dict, key: str) -> None:
+    if not params[key]:
+        raise ConfigError(f"config.params.{key}: must list at least one value")
+
+
+def _param_fwhm(spec: ManifoldSpec, params: dict) -> float:
+    """The pulse FWHM fwhm_factor t_kepler / d of a scenario; ConfigError
+    unless it lies within the input bounds (pulse.FWHM_RANGE_KEPLER).
+    The scenarios calibrate these pulses to area pi, within the area
+    bound by construction."""
+    fwhm = params["fwhm_factor"] * time_scales(spec).t_kepler / spec.d
+    try:
+        check_input_fwhm(spec, fwhm)
+    except ValueError as e:
+        raise ConfigError(f"config.params.fwhm_factor: {e}") from None
+    return fwhm
+
+
 def _random_packet_states(rng, n: int, d: int) -> np.ndarray:
     z = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -443,6 +481,9 @@ def _run_time_scales(params: dict) -> ScenarioResult:
     n_states=1000, d_min=2, d_max=16, seed=1,
 )
 def _run_qft_roundtrip(params: dict) -> ScenarioResult:
+    _at_least(params, "n_states", 1)
+    _at_least(params, "d_min", 2)
+    _at_least(params, "d_max", params["d_min"])
     rng = np.random.default_rng(params["seed"])
     worst_round = worst_parseval = worst_unitary = 0.0
     for d in range(int(params["d_min"]), int(params["d_max"]) + 1):
@@ -478,6 +519,8 @@ def _run_qft_roundtrip(params: dict) -> ScenarioResult:
     nbar=180, ds=(4, 5, 8), n_states=4, seed=2,
 )
 def _run_shift_gate(params: dict) -> ScenarioResult:
+    _nonempty(params, "ds")
+    _at_least(params, "n_states", 1)
     rng = np.random.default_rng(params["seed"])
     nbar = int(params["nbar"])
     worst_perm = worst_delta = 0.0
@@ -520,6 +563,7 @@ def _run_shift_gate(params: dict) -> ScenarioResult:
     nbar=180, d=8, n_pairs=100, seed=3,
 )
 def _run_kernel_identity(params: dict) -> ScenarioResult:
+    _at_least(params, "n_pairs", 1)
     spec = _spec_of(params["nbar"], params["d"])
     ts = time_scales(spec)
     rng = np.random.default_rng(params["seed"])
@@ -584,10 +628,9 @@ def _fig2_pipeline(params: dict, n_trace: int):
     the pulse, and the trace of the whole run (None for n_trace = 0).
     """
     spec = _spec_of(params["nbar"], params["d"])
-    ts = time_scales(spec)
     d = spec.d
-    step = ts.t_kepler / d
-    fwhm = params["fwhm_factor"] * ts.t_kepler / d
+    step = time_scales(spec).t_kepler / d
+    fwhm = _param_fwhm(spec, params)
     pulse = PulseSpec(
         fwhm=fwhm,
         peak_rabi=pi_pulse_peak_rabi(spec, fwhm),
@@ -596,7 +639,8 @@ def _fig2_pipeline(params: dict, n_trace: int):
         target="g",
     )
     if pulse.t_start <= -step:
-        raise ConfigError("fwhm_factor too large: pulse support swallows the lead-in")
+        raise ConfigError("config.params.fwhm_factor: too large, the pulse support "
+                          "swallows the lead-in")
     b0 = np.zeros(d, dtype=complex)
     b0[spec.slot_index(0)] = 1.0          # uniform slot amplitudes
     state, trace = run_program(SimulationState(spec=spec, b_energy=b0, t=-step),
@@ -682,6 +726,9 @@ def _run_two_level_vs_full(params: dict) -> ScenarioResult:
     nbar=180, d=8, window=0.02, grid_per_kepler=160,
 )
 def _run_revival(params: dict) -> ScenarioResult:
+    if not params["window"] > 0:
+        raise ConfigError(f"config.params.window: must be > 0, got {params['window']!r}")
+    _at_least(params, "grid_per_kepler", 1)
     spec = _spec_of(params["nbar"], params["d"])
     ts = time_scales(spec)
     b = packet_to_energy_matrix(spec.d)[:, spec.slot_index(0)]
@@ -689,16 +736,22 @@ def _run_revival(params: dict) -> ScenarioResult:
 
     w = float(params["window"])
     per = int(params["grid_per_kepler"])
-    t0, t1 = (1.0 - w) * ts.t_revival, (1.0 + w) * ts.t_revival
-    n = int(round((t1 - t0) / ts.t_kepler * per)) + 1
-    trace = revival_scan(spec, b, np.linspace(t0, t1, n))
+
+    def scan(t0: float, t1: float) -> TraceRecord:
+        # find_autocorr_peak refines over three samples
+        n = int(round((t1 - t0) / ts.t_kepler * per)) + 1
+        if n < 3:
+            raise ConfigError(
+                f"config.params.grid_per_kepler: {per} per Kepler period gives {n} grid "
+                f"point(s) over {(t1 - t0) / ts.t_kepler:.6g} t_kepler; the peak search "
+                "needs >= 3 (raise grid_per_kepler or window)")
+        return revival_scan(spec, b, np.linspace(t0, t1, n))
+
+    trace = scan((1.0 - w) * ts.t_revival, (1.0 + w) * ts.t_revival)
     t_peak, v_peak = find_autocorr_peak(trace)
     deficit = 1.0 - v_peak
 
-    h0, h1 = 0.47 * ts.t_revival, 0.55 * ts.t_revival
-    nh = int(round((h1 - h0) / ts.t_kepler * per)) + 1
-    half = revival_scan(spec, b, np.linspace(h0, h1, nh))
-    th_peak, vh_peak = find_autocorr_peak(half)
+    th_peak, vh_peak = find_autocorr_peak(scan(0.47 * ts.t_revival, 0.55 * ts.t_revival))
 
     checks = [
         _band("one_period_decay", decay, 0.03, 0.08),
@@ -759,7 +812,7 @@ def _run_nbar_scaling(params: dict) -> ScenarioResult:
 def _run_pulse_constraints(params: dict) -> ScenarioResult:
     spec = _spec_of(params["nbar"], params["d"])
     ts = time_scales(spec)
-    fwhm = params["fwhm_factor"] * ts.t_kepler / spec.d
+    fwhm = _param_fwhm(spec, params)
     pulse = PulseSpec(fwhm=fwhm, peak_rabi=pi_pulse_peak_rabi(spec, fwhm))
     rep = validate_pulse(spec, pulse)
     tbp_target = 4.0 * LN2 / math.pi
@@ -794,6 +847,8 @@ def _run_pulse_constraints(params: dict) -> ScenarioResult:
     nbar=180, d=4, haar_count=50, haar_dims=(2, 4, 8), seed=7,
 )
 def _run_compile_random(params: dict) -> ScenarioResult:
+    _at_least(params, "haar_count", 1)
+    _nonempty(params, "haar_dims")
     nbar = int(params["nbar"])
     rng = np.random.default_rng(params["seed"])
     worst_err = 0.0
@@ -908,13 +963,15 @@ def _parse_pulse_event(sub: dict, spec: ManifoldSpec, clock: float, where: str) 
     if "area" in sub:
         area = math.pi if sub["area"] == "pi" else _finite(sub["area"], f"{where}.area")
         peak = pi_peak * area / math.pi
+        checked = (area, math.pi)           # the area as given, in radians
     else:
         peak = _finite(sub["peak_rabi"], f"{where}.peak_rabi")
-        area = math.pi * peak / pi_peak
-    if not abs(area) <= MAX_PULSE_AREA:
+        checked = (peak, pi_peak)
+    try:
+        check_input_area(*checked)
+    except ValueError as e:
         key = "area" if "area" in sub else "peak_rabi"
-        raise ConfigError(f"{where}.{key}: pulse area {area:.6g} rad is beyond "
-                          f"+-{MAX_PULSE_AREA:.6g} (100 pi)")
+        raise ConfigError(f"{where}.{key}: {e}") from None
     detuning = _finite(sub.get("detuning", 0.0), f"{where}.detuning")
     phase = _finite(sub.get("phase", 0.0), f"{where}.phase")
     target = sub.get("target", "g")

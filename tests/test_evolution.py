@@ -5,6 +5,7 @@ import pytest
 
 from rydpacket import ManifoldSpec, shift_matrix, time_scales
 from rydpacket.basis import energy_to_packet_matrix, packet_amplitudes_at, packet_to_energy_matrix
+from rydpacket.manifold import SPECTRUM_MODES, detunings
 from rydpacket.evolution import (
     TraceRecord,
     autocorrelation,
@@ -125,6 +126,53 @@ def test_revival_peak_frozen():
     t_pk, v_pk = find_autocorr_peak(trace)
     assert t_pk / ts.t_revival == pytest.approx(REVIVAL_PEAK_T, rel=1e-12)
     assert v_pk == pytest.approx(REVIVAL_PEAK_VALUE, rel=1e-12)
+
+
+def _shift_fidelity_oracle(spec, n, mode):
+    # the circulant and shift-matrix overlap shift_fidelity once computed
+    kern = evolution_kernel(spec, n * time_scales(spec).t_kepler / spec.d, mode)
+    bt0 = np.zeros(spec.d, dtype=complex)
+    bt0[spec.slot_index(0)] = 1.0
+    evolved = kern.as_matrix() @ bt0
+    ideal = shift_matrix(spec.d, n) @ bt0
+    return float(abs(np.vdot(ideal, evolved)) ** 2)
+
+
+@pytest.mark.parametrize("mode", SPECTRUM_MODES)
+@pytest.mark.parametrize("d", range(2, 9))
+def test_shift_fidelity_is_the_circulant_overlap_bit_for_bit(d, mode):
+    spec = ManifoldSpec(nbar=180, d=d)
+    for n in range(2 * d + 1):
+        assert shift_fidelity(spec, n, mode) == _shift_fidelity_oracle(spec, n, mode)
+
+
+@pytest.mark.parametrize("mode", SPECTRUM_MODES)
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_revival_scan_autocorrelation_is_bit_equal_to_outer_product(d, mode):
+    # the formula revival_scan carried before it called autocorrelation
+    spec = ManifoldSpec(nbar=180, d=d)
+    b = _random_energy(d, d)
+    ts = time_scales(spec)
+    grid = np.linspace(0.9 * ts.t_revival, 1.1 * ts.t_revival, 97)
+    want = np.abs(np.exp(-1j * np.outer(grid, detunings(spec, mode))) @ np.abs(b) ** 2) ** 2
+    trace = revival_scan(spec, b, grid, mode)
+    np.testing.assert_array_equal(trace.autocorr, want)
+    np.testing.assert_array_equal(autocorrelation(b, spec, grid, mode), want)
+
+
+@pytest.mark.parametrize("mode", SPECTRUM_MODES)
+@pytest.mark.parametrize("nbar, d", [(20, 3), (180, 8), (1000, 16)])
+def test_array_autocorrelation_matches_scalar_calls(nbar, d, mode):
+    # one dot product per time against one matrix-vector product: the
+    # sums round differently, by a few ulp of values in [0, 1]
+    spec = ManifoldSpec(nbar=nbar, d=d)
+    b = _random_energy(nbar + d, d)
+    t = np.random.default_rng(d).uniform(0.0, 3.0 * time_scales(spec).t_revival, (4, 16))
+    got = autocorrelation(b, spec, t, mode)
+    assert got.shape == t.shape
+    scalars = [autocorrelation(b, spec, float(x), mode) for x in t.ravel()]
+    assert all(type(x) is float for x in scalars)
+    np.testing.assert_allclose(got.ravel(), scalars, rtol=0, atol=8 * np.finfo(float).eps)
 
 
 def test_find_autocorr_peak_parabola_exact():

@@ -22,7 +22,7 @@ from rydpacket import (
     shift_matrix,
     time_scales,
 )
-from rydpacket.basis import energy_to_packet_matrix, packet_to_energy_matrix
+from rydpacket.basis import energy_to_packet_matrix, packet_amplitudes_at, packet_to_energy_matrix
 from rydpacket.constants import AU_TIME_NS, LN2
 from rydpacket.gates import (
     DEFAULT_GATE_FWHM_FACTOR,
@@ -737,6 +737,36 @@ def test_run_program_trace_norm_error_is_drift_from_one():
     _, trace = run_program(state, [Wait(step), pulse, Wait(step)], n_trace=5)
     assert len(trace.t_au) == 4 * 5 - 3
     np.testing.assert_allclose(trace.norm_error, 0.5, rtol=0, atol=1e-8)
+
+
+def _flight_rows_oracle(state, t1, n, mode):
+    # the rows gates._flight_trace built before evolution.trace_rows
+    grid = np.linspace(state.t, t1, n)
+    return {"t_au": grid,
+            "packet_populations": np.abs(packet_amplitudes_at(
+                state.b_energy, state.spec, grid, mode)) ** 2,
+            "pop_g": np.full(n, abs(state.b_g) ** 2),
+            "pop_e": np.full(n, abs(state.b_e) ** 2),
+            "norm_error": np.full(n, abs(state.norm() - 1.0))}
+
+
+@pytest.mark.parametrize("mode", ["exact", "taylor1", "taylor3"])
+@pytest.mark.parametrize("d, scale, seed", [(2, 1.0, 0), (5, 1.0, 1), (8, 0.5, 2), (7, 1.3, 3)])
+def test_flight_trace_rows_match_the_old_row_builder(d, scale, seed, mode):
+    # every column bit-equal but norm_error, now taken per sample over the
+    # packet populations instead of once over the level amplitudes
+    spec = _spec(d)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=d + 2) + 1j * rng.normal(size=d + 2)
+    v *= scale / np.linalg.norm(v)
+    t0 = rng.uniform(0.0, 5.0) * time_scales(spec).t_kepler
+    state = SimulationState(spec, v[2:], b_g=complex(v[0]), b_e=complex(v[1]), t=t0)
+    dt = rng.uniform(0.1, 3.0) * time_scales(spec).t_kepler
+    _, trace = run_program(state, [Wait(dt)], mode=mode, n_trace=23)
+    want = _flight_rows_oracle(state, t0 + dt, 23, mode)
+    for column in ("t_au", "packet_populations", "pop_g", "pop_e"):
+        np.testing.assert_array_equal(getattr(trace, column), want[column])
+    np.testing.assert_allclose(trace.norm_error, want["norm_error"], rtol=0, atol=1e-15)
 
 
 def test_run_program_rejects_bad_items():

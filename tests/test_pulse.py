@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import rydpacket
 import rydpacket.pulse as pulse_mod
 from rydpacket import ManifoldSpec, SimulationState, time_scales
-from rydpacket.basis import packet_to_energy_matrix
+from rydpacket.basis import packet_amplitudes_at, packet_to_energy_matrix
 from rydpacket.constants import LN2
 from rydpacket.manifold import SPECTRUM_MODES, detunings
 from rydpacket.pulse import (
@@ -227,6 +227,59 @@ def test_integrate_pulse_trace():
     assert np.max(trace.norm_error) < 1e-8
     total = trace.pop_g + trace.pop_e + trace.packet_populations.sum(axis=1)
     np.testing.assert_allclose(total, 1.0, atol=1e-8)
+
+
+def _pulse_rows_oracle(state, pulse, mode, n_trace):
+    # the row builder integrate_pulse carried before evolution.trace_rows,
+    # on the dense output of the same solve
+    spec = state.spec
+    store_g = pulse.target == "g"
+    y0 = np.concatenate(([state.b_g if store_g else state.b_e], state.b_energy))
+    sol = _solve_pulse(pulse, rabi_profile(spec, pulse.peak_rabi).omega_j,
+                       detunings(spec, mode) + pulse.carrier_detuning, y0, dense_output=True)
+    ts = np.linspace(pulse.t_start, pulse.t_end, n_trace)
+    Y = sol.sol(ts)
+    pops = np.abs(packet_amplitudes_at(Y[1:].T, spec, ts, mode)) ** 2
+    pop_s = np.abs(Y[0, :]) ** 2
+    norm_err = np.abs(np.sqrt(pop_s + pops.sum(axis=1) +
+                              (abs(state.b_e) ** 2 if store_g else abs(state.b_g) ** 2)) - 1.0)
+    return {"t_au": ts, "packet_populations": pops,
+            "pop_g": pop_s if store_g else np.full_like(ts, abs(state.b_g) ** 2),
+            "pop_e": np.full_like(ts, abs(state.b_e) ** 2) if store_g else pop_s,
+            "norm_error": norm_err}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    mode=st.sampled_from(SPECTRUM_MODES),
+    target=st.sampled_from(["g", "e"]),
+    phase=st.floats(-10.0, 10.0),
+    detuning_steps=st.floats(-2.0, 2.0),
+    area_factor=st.floats(0.3, 1.2),
+    n_trace=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pulse_trace_rows_match_the_old_row_builder(
+        d, mode, target, phase, detuning_steps, area_factor, n_trace, seed):
+    # every column bit-equal but norm_error, now summed over (g, e, slots)
+    # in that order: within a few ulp
+    spec = ManifoldSpec(nbar=180, d=d)
+    ts = time_scales(spec)
+    fwhm = 0.25 * LN2 * ts.t_kepler / d
+    pulse = PulseSpec(fwhm=fwhm, peak_rabi=area_factor * pi_pulse_peak_rabi(spec, fwhm),
+                      carrier_detuning=detuning_steps * 2.0 * math.pi / ts.t_kepler,
+                      phase=phase, center_time=ts.t_kepler, target=target)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=d + 2) + 1j * rng.normal(size=d + 2)
+    v /= np.linalg.norm(v)
+    state = SimulationState(spec=spec, b_energy=v[2:], b_g=complex(v[0]), b_e=complex(v[1]),
+                            t=pulse.t_start)
+    _, trace = integrate_pulse(state, pulse, mode=mode, n_trace=n_trace)
+    want = _pulse_rows_oracle(state, pulse, mode, n_trace)
+    for column in ("t_au", "packet_populations", "pop_g", "pop_e"):
+        np.testing.assert_array_equal(getattr(trace, column), want[column])
+    np.testing.assert_allclose(trace.norm_error, want["norm_error"], rtol=0, atol=1e-15)
 
 
 @settings(max_examples=25, deadline=None)

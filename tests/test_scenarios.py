@@ -14,13 +14,14 @@ from rydpacket import ManifoldSpec, cli, list_scenarios, run_scenario, time_scal
 from rydpacket.basis import packet_to_energy_matrix
 from rydpacket.cli import main
 from rydpacket.constants import LN2, TIME_UNITS
-from rydpacket.gates import random_two_level_unitary
+from rydpacket.gates import random_two_level_unitary, schedule_from_json
 from rydpacket.manifold import MAX_NBAR, SPECTRUM_MODES
-from rydpacket.pulse import FWHM_RANGE_KEPLER, PulseSpec, pi_pulse_peak_rabi
+from rydpacket.pulse import FWHM_RANGE_KEPLER, MAX_PULSE_AREA, PulseSpec, pi_pulse_peak_rabi
 from rydpacket.scenarios import (
     ConfigError,
     ScenarioError,
     _parse_initial_state,
+    _parse_pulse_event,
     describe,
     haar_unitary,
     parse_quantity,
@@ -791,3 +792,89 @@ def test_declarative_manifold_needs_integers(tmp_path, capsys, field, value):
     path.write_text(yaml.safe_dump(cfg))
     assert main(["run", str(path)]) == 2
     assert f"config.manifold.{field}: expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fwhm_kepler", np.geomspace(FWHM_RANGE_KEPLER[0], FWHM_RANGE_KEPLER[1], 29))
+def test_pulse_area_edge_is_one_rule_for_configs_and_schedule_json(fwhm_kepler):
+    # a pulse at +-100 pi is accepted and the next float past it rejected,
+    # by a declarative pulse (given by peak Rabi frequency or by area) and
+    # by schedule JSON alike
+    spec = ManifoldSpec(nbar=180, d=4)
+    fwhm = float(fwhm_kepler) * time_scales(spec).t_kepler
+    pi_peak = pi_pulse_peak_rabi(spec, fwhm)
+    doc = {"nbar": 180, "d": 4, "pulse_fwhm_au": fwhm, "primitives": []}
+
+    def json_accepts(peak):
+        try:
+            schedule_from_json(json.dumps(dict(doc, peak_rabi_au=peak)))
+        except ValueError as e:
+            assert "pulse area" in str(e)
+            return False
+        return True
+
+    def config_accepts(**strength):
+        try:
+            _parse_pulse_event(dict(fwhm=fwhm, **strength), spec, 0.0, "ev")
+        except ConfigError as e:
+            assert "pulse area" in str(e)
+            return False
+        return True
+
+    edge = MAX_PULSE_AREA / math.pi * pi_peak
+    past = math.nextafter(edge, math.inf)
+    assert json_accepts(edge) and not json_accepts(past)
+    for sign in (1.0, -1.0):
+        assert config_accepts(peak_rabi=sign * edge)
+        assert not config_accepts(peak_rabi=sign * past)
+        assert config_accepts(area=sign * MAX_PULSE_AREA)
+        assert not config_accepts(area=sign * math.nextafter(MAX_PULSE_AREA, math.inf))
+
+
+@pytest.mark.parametrize("scenario, params, key", [
+    ("qft_roundtrip", "{n_states: 0}", "n_states"),             # once a traceback
+    ("qft_roundtrip", "{d_min: 0, d_max: 3}", "d_min"),         # once a traceback
+    ("qft_roundtrip", "{d_min: 5, d_max: 4}", "d_max"),         # once PASS over no d
+    ("revival_recovery", "{window: -0.5}", "window"),           # once a traceback
+    ("revival_recovery", "{window: 0.0}", "window"),            # once FAILs off one point
+    ("revival_recovery", "{grid_per_kepler: 0}", "grid_per_kepler"),
+    ("revival_recovery", "{window: 1.0e-5}", "grid_per_kepler"),      # one grid point
+    ("compile_random_unitary", "{haar_count: 0}", "haar_count"),      # once PASS, margin -1e9
+    ("compile_random_unitary", "{haar_count: -3}", "haar_count"),
+    ("compile_random_unitary", "{haar_dims: []}", "haar_dims"),       # once PASS over none
+    ("kernel_identity", "{n_pairs: 0}", "n_pairs"),                   # once PASS over none
+    ("shift_gate_demo", "{ds: []}", "ds"),
+    ("shift_gate_demo", "{n_states: 0}", "n_states"),
+    ("fig2_dark_packet", "{fwhm_factor: 0.0}", "fwhm_factor"),        # once a traceback
+    ("two_level_vs_full", "{fwhm_factor: -1.0}", "fwhm_factor"),
+    ("pulse_constraints", "{fwhm_factor: 0.0}", "fwhm_factor"),
+], ids=lambda v: re.sub(r"[{} ]", "", str(v)))
+def test_named_scenario_param_out_of_bounds_is_a_config_error(tmp_path, capsys,
+                                                              scenario, params, key):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"scenario: {scenario}\nparams: {params}\n")
+    assert main(["run", str(path)]) == 2
+    assert f"config error: config.params.{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, said", [
+    # YAML 1.1 reads an exponent without a dot, or without a sign, as text
+    ("scenario: pulse_constraints\nparams: {fwhm_factor: 1e-9}\n",
+     "config.params.fwhm_factor: expected a number, got the string '1e-9' "
+     "(YAML reads a number such as 1e-9 as text; write 1.0e-9)"),
+    ("scenario: kernel_identity\nparams: {n_pairs: 1.0e+2}\n",
+     "config.params.n_pairs: expected an integer, got 100.0"),
+    ("scenario: kernel_identity\nparams: {n_pairs: ten}\n",
+     "config.params.n_pairs: expected an integer, got 'ten'"),
+    ("manifold: {nbar: 180, d: 4}\ninitial_state: uniform_packet\nevents:\n"
+     "  - wait: 1e5\n",
+     "config.events[0].wait: quantity must look like '0.89 ns', got the string '1e5' "
+     "(YAML reads a number such as 1e-9 as text; write 1.0e-9)"),
+    ("manifold: {nbar: 180, d: 4}\ninitial_state: uniform_packet\nevents:\n"
+     "  - pulse: {fwhm: 0.02 kepler, area: 1.0E3, slot: 0}\n",
+     "config.events[0].area: expected a number, got the string '1.0E3'"),
+], ids=["exponent-float", "float-for-int", "word-for-int", "exponent-wait", "unsigned-exponent"])
+def test_config_error_says_what_it_received(tmp_path, capsys, text, said):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert said in capsys.readouterr().err
