@@ -40,6 +40,14 @@ core-slot swap at t = 0.  schedule_operator builds every pulse's frame
 in one array operation, folds each run of storage pulses into one
 2 x 2, and then costs one small matrix product per pulse.
 
+A two-level factor touches two rows, so decompose_unitary and
+compose_ops update a matrix by one 2 x 2 BLAS product on the strided
+view of those two rows, never by an embedded d x d product (O(d^3)) or
+a fancy-index gather.  The product stays a BLAS call: elementwise numpy
+and Python-scalar forms round differently from zgemm, and the frozen
+schedules depend on the factors' bits.  For the same reason the
+batched zyz_angles keeps numpy-scalar abs for its moduli.
+
 The default gate pulse FWHM is 0.25 ln2 t_kepler / d, half the
 bandwidth-limit demonstration value: transfer to slots adjacent to the
 addressed one falls quadratically with pulse length, and the shorter
@@ -125,10 +133,17 @@ class TwoLevelOp:
 
 
 def compose_ops(ops: list[TwoLevelOp], spec: ManifoldSpec) -> np.ndarray:
-    """Matrix of the ops applied in list order (ops[0] acts first)."""
+    """Matrix of the ops applied in list order (ops[0] acts first).
+
+    Each op updates only its two rows of the running product, through a
+    strided view of both: O(d) work per op, where multiplying by the
+    embedded d x d costs O(d^3)."""
     U = np.eye(spec.d, dtype=complex)
     for op in ops:
-        U = op.embed(spec) @ U
+        a, b = spec.slot_index(op.k), spec.slot_index(op.k2)
+        # the view holds the rows in index order; flip u2 when a > b
+        rows = U[min(a, b):max(a, b) + 1:abs(b - a)]
+        rows[...] = (op.u2 if a < b else op.u2[::-1, ::-1]) @ rows
     return U
 
 
@@ -142,6 +157,12 @@ def decompose_unitary(U: np.ndarray, spec: ManifoldSpec) -> list[TwoLevelOp]:
     unitary diagonal that remains is emitted as two-level phase ops on
     slot pairs.  Result: U equals the ops applied in list order, to
     machine precision, with at most d(d-1)/2 + ceil(d/2) factors.
+
+    Each rotation g updates its two rows as one BLAS product g @ rows on
+    the strided view M[c:r+1:r-c] of both, with no gather or scatter of
+    a fancy index.  It stays a matrix product because elementwise numpy
+    or Python scalars round differently from zgemm, and the factors'
+    bits reach every compiled schedule.
     """
     return _decompose(_unitary(U, spec.d), spec)
 
@@ -164,7 +185,8 @@ def _decompose(U: np.ndarray, spec: ManifoldSpec) -> list[TwoLevelOp]:
                 [[np.conj(x) / nrm, np.conj(y) / nrm], [-y / nrm, x / nrm]],
                 dtype=complex,
             )
-            M[[c, r], :] = g @ M[[c, r], :]
+            rows = M[c:r + 1:r - c]
+            rows[...] = g @ rows
             M[r, c] = 0.0
             rotations.append(TwoLevelOp(k=int(ks[c]), k2=int(ks[r]), u2=g))
 
@@ -204,27 +226,44 @@ def _phase_pair_op(spec, i, phi_i, i2, phi_i2) -> TwoLevelOp:
     return TwoLevelOp(k=int(ks[i]), k2=int(ks[i2]), u2=u2)
 
 
-def zyz_angles(u2: np.ndarray) -> tuple[float, float, float, float]:
+def zyz_angles(u2: np.ndarray) -> tuple[float, float, float, float] | np.ndarray:
     """(alpha, beta, gamma, delta) with u2 = e^{i alpha} Rz(beta) Ry(gamma) Rz(delta).
 
     Rz(b) = diag(e^{-ib/2}, e^{+ib/2}); Ry(g) the real rotation.
+    u2 is one 2 x 2, which gives one tuple, or a stack (n, 2, 2), which
+    gives an (n, 4) float array of the same four angles per factor, from
+    one pass over the stack.  det, angle, exp and the elementwise
+    products give the same bits batched as one factor at a time, so each
+    row of a stack equals zyz_angles of its factor alone.  The array
+    holds no Python object per factor, which would stay alive while a
+    compile runs.  The moduli |su00| and |su10| stay numpy-scalar abs:
+    array np.abs (a SIMD loop) rounds the last bit differently on about
+    a third of the factors of a Haar target, which would move the
+    angles and the compiled schedules.
     """
     u = np.asarray(u2, dtype=complex)
-    alpha = 0.5 * np.angle(np.linalg.det(u))
-    su = u * np.exp(-1j * alpha)
-    gamma = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
-    if abs(su[0, 0]) > 1e-12 and abs(su[1, 0]) > 1e-12:
-        s = -2.0 * np.angle(su[0, 0])
-        dmb = 2.0 * np.angle(su[1, 0])
-        beta = 0.5 * (s + dmb)
-        delta = 0.5 * (s - dmb)
-    elif abs(su[1, 0]) <= 1e-12:
-        beta = -2.0 * np.angle(su[0, 0])
-        delta = 0.0
-    else:
-        beta = 2.0 * np.angle(su[1, 0])
-        delta = 0.0
-    return float(alpha), float(beta), float(gamma), float(delta)
+    alphas = 0.5 * np.angle(np.linalg.det(u))
+    su = u * np.exp(-1j * alphas)[..., None, None]
+    su00, su10 = su[..., 0, 0], su[..., 1, 0]
+    angles = []
+    for alpha, s00, s10, arg00, arg10 in zip(
+            np.ravel(alphas), np.ravel(su00), np.ravel(su10),
+            np.ravel(np.angle(su00)), np.ravel(np.angle(su10))):
+        m00, m10 = abs(s00), abs(s10)
+        gamma = 2.0 * math.atan2(m10, m00)
+        if m00 > 1e-12 and m10 > 1e-12:
+            s = -2.0 * arg00
+            dmb = 2.0 * arg10
+            beta = 0.5 * (s + dmb)
+            delta = 0.5 * (s - dmb)
+        elif m10 <= 1e-12:
+            beta = -2.0 * arg00
+            delta = 0.0
+        else:
+            beta = 2.0 * arg10
+            delta = 0.0
+        angles.append((float(alpha), float(beta), float(gamma), float(delta)))
+    return np.array(angles).reshape(-1, 4) if u.ndim == 3 else angles[0]
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +443,8 @@ def schedule_to_json(schedule: GateSchedule) -> str:
 
 def _json_number(obj: dict, key: str):
     v = obj[key]
+    if type(v) is float and math.isfinite(v):   # what schedule_to_json writes
+        return v
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
         raise ValueError(f"{key} must be a finite number, got {v!r}")
     return v
@@ -433,16 +474,15 @@ def schedule_from_json(text: str) -> GateSchedule:
     for p in doc["primitives"]:
         kind = p["type"]
         if kind == "wait":
-            prims.append(Wait(duration=_json_number(p, "duration_au")))
+            prims.append(Wait(_json_number(p, "duration_au")))
         elif kind == "manifold_pi_pulse":
             spec.slot_index(_json_int(p, "slot"))
-            prims.append(ManifoldPiPulse(slot=p["slot"], target=p["target"],
-                                         phase=_json_number(p, "phase")))
+            prims.append(ManifoldPiPulse(p["slot"], p["target"], _json_number(p, "phase")))
         elif kind == "storage_pulse":
-            prims.append(StoragePulse(**{
-                key: _json_number(p, key)
+            prims.append(StoragePulse(*[
+                _json_number(p, key)
                 for key in ("theta", "phi", "detuning_area", "phase_g", "phase_e")
-            }))
+            ]))
         else:
             raise ValueError(f"unknown primitive type {kind!r}")
     return GateSchedule(
@@ -494,16 +534,15 @@ class _Compiler:
         self.prims.append(ManifoldPiPulse(slot=slot, target=target))
         self.t = center + self.half
 
-    def add_fragment(self, op: TwoLevelOp) -> None:
-        """Emit the store / rotate / restore protocol for one factor."""
+    def add_fragment(self, op: TwoLevelOp, angles: np.ndarray) -> None:
+        """Emit the store / rotate / restore protocol for one factor;
+        angles are zyz_angles of -op.u2, the rotation between the storages."""
         c1 = next_core_crossing(self.spec, op.k, self.t + self.half)
         self._pulse_at(c1, op.k, "g")
         c2 = next_core_crossing(self.spec, op.k2, self.t + self.half)
         self._pulse_at(c2, op.k2, "e")
 
-        # four i factors from the pi pulses make -1: realize -u2 in storage
-        v = -np.asarray(op.u2, dtype=complex)
-        alpha, beta, gamma, delta = zyz_angles(v)
+        alpha, beta, gamma, delta = angles.tolist()
         if abs(delta) > 1e-14:
             self.prims.append(StoragePulse(phase_g=-delta / 2.0, phase_e=delta / 2.0))
         if abs(gamma) > 1e-14:
@@ -561,7 +600,8 @@ def compile_unitary(
     flight.  Everything else goes through the two-level decomposition;
     consecutive factors on the same slot pair are fused first.  Each
     fragment is padded to a whole number of Kepler periods so fragments
-    concatenate as plain matrix products.
+    concatenate as plain matrix products.  The storage rotations of all
+    fragments come from one zyz_angles pass over the stacked factors.
     """
     d = spec.d
     U = _unitary(U, d)
@@ -586,8 +626,11 @@ def compile_unitary(
         return sched
 
     comp = _Compiler(spec, pulse_fwhm)
-    for op in merge_same_pair(_decompose(U, spec)):
-        comp.add_fragment(op)
+    ops = merge_same_pair(_decompose(U, spec))
+    # four i factors from the pi pulses make -1: realize -u2 in storage
+    angles = zyz_angles(-np.array([op.u2 for op in ops]).reshape(-1, 2, 2))
+    for op, fragment_angles in zip(ops, angles):
+        comp.add_fragment(op, fragment_angles)
         comp.pad_to_kepler()
     sched.primitives = comp.prims
     return sched

@@ -855,7 +855,7 @@ def _run_compile_random(params: dict) -> ScenarioResult:
     worst_count_margin = -10**9
     for dim in params["haar_dims"]:
         spec_h = _spec_of(nbar, dim)
-        bound = dim * (dim - 1) // 2 + dim
+        bound = dim * (dim - 1) // 2 + (dim + 1) // 2     # decompose_unitary's bound
         for _ in range(int(params["haar_count"])):
             U = haar_unitary(dim, rng)
             ops = decompose_unitary(U, spec_h)
@@ -865,7 +865,7 @@ def _run_compile_random(params: dict) -> ScenarioResult:
     checks = [
         _below("haar_reconstruction_error", worst_err, 1e-9),
         CheckResult("haar_factor_count", worst_count_margin <= 0,
-                    f"worst count minus d(d-1)/2 + d bound: {worst_count_margin}"),
+                    f"worst count minus d(d-1)/2 + ceil(d/2) bound: {worst_count_margin}"),
     ]
 
     spec = _spec_of(params["nbar"], params["d"])

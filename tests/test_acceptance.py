@@ -120,4 +120,8 @@ def test_criterion_11_compiler():
     assert obs["max_reconstruction_error"] < 1e-9
     assert obs["process_fidelity_ideal"] >= 1.0 - 1e-6
     assert obs["process_fidelity_full"] >= 0.9
+    # the count is held to the bound decompose_unitary documents
+    count = next(c for c in res.checks if c.name == "haar_factor_count")
+    assert "minus d(d-1)/2 + ceil(d/2) bound" in count.detail
+    assert int(count.detail.rsplit(":", 1)[1]) <= 0
     assert res.passed

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,17 @@ SCHEDULE_JSON_SHA256 = {
     8: "1bbda8cde52c2b5c94b0b6ecf1cf234e23b87ca2c8f5f287370e4be8018000b8",
     16: "c60b76909eea551fb534c54d827c5861e995626d7dbef9a505f2d2b51f937c3e",
 }
+# SHA-256 over (k, k2, u2 bytes) of every factor of decompose_unitary at
+# nbar = 180, for _haar(d, d) and random_two_level_unitary(spec, d)
+FACTOR_SHA256 = {
+    ("haar", 2): "3005c305cb416712c7f06bbc4449945b554024348eab7bd6b55c2a9f2afb2b49",
+    ("haar", 3): "95fa28ccea1246ffc3e83d6fbc8c72194e000ca877e62476110c0af7d7a97e3d",
+    ("haar", 4): "fefdb77ba00275907b957bb317a4d7e512d5fbf65545f2e0ab07833ab233c61d",
+    ("haar", 8): "4eff1d2492134653af2edd71c96ad96286fc71824989e8f7a367d47f2af85e62",
+    ("haar", 16): "b6536c80a3080c19882d1e1da4e270c732ce49370b33c976fa6a1f237aab5295",
+    ("two_level", 4): "d0768083c36116918890bb9b7c24e9c57b0f02d572637c399104ca6a3cfdb4b8",
+    ("two_level", 8): "eff126dc0d59ba542e2c9a3c28ef8bb75e73c2473b957b70df5d7839b8e408cc",
+}
 
 
 def _haar(d, seed):
@@ -105,6 +117,32 @@ def test_decompose_haar_reconstructs(d):
     ops = decompose_unitary(U, spec)
     np.testing.assert_allclose(compose_ops(ops, spec), U, atol=1e-12)
     assert len(ops) <= d * (d - 1) // 2 + math.ceil(d / 2)
+
+
+@pytest.mark.parametrize("kind, d", sorted(FACTOR_SHA256))
+def test_decompose_factors_are_frozen(kind, d):
+    spec = _spec(d)
+    U = _haar(d, d) if kind == "haar" else random_two_level_unitary(spec, d)
+    h = hashlib.sha256()
+    for op in decompose_unitary(U, spec):
+        h.update(f"{op.k},{op.k2}:".encode())
+        h.update(op.u2.tobytes())
+    assert h.hexdigest() == FACTOR_SHA256[kind, d]
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_compose_ops_matches_embed_product(d):
+    # the reference: each op as its embedded d x d, multiplied on the left
+    spec = _spec(d)
+    for U in (_haar(d, 300 + d), random_two_level_unitary(spec, 300 + d)):
+        ops = decompose_unitary(U, spec)
+        # the same factors with the slot order reversed
+        flipped = [TwoLevelOp(k=op.k2, k2=op.k, u2=op.u2[::-1, ::-1]) for op in ops]
+        for seq in (ops, flipped):
+            want = np.eye(d, dtype=complex)
+            for op in seq:
+                want = op.embed(spec) @ want
+            assert np.max(np.abs(compose_ops(seq, spec) - want)) <= 1e-14
 
 
 def _assert_decomposes(U, spec):
@@ -187,6 +225,43 @@ def test_zyz_diagonal_edge_case():
     rebuilt = np.exp(1j * alpha) * np.diag(
         [np.exp(-0.5j * beta), np.exp(0.5j * beta)])
     np.testing.assert_allclose(rebuilt, u, atol=1e-12)
+
+
+def _zyz_one_factor(u):
+    """zyz_angles of one 2 x 2 in numpy scalars: the reference that the
+    batched arithmetic must match bit for bit."""
+    alpha = 0.5 * np.angle(np.linalg.det(u))
+    su = u * np.exp(-1j * alpha)
+    gamma = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
+    if abs(su[0, 0]) > 1e-12 and abs(su[1, 0]) > 1e-12:
+        s, dmb = -2.0 * np.angle(su[0, 0]), 2.0 * np.angle(su[1, 0])
+        beta, delta = 0.5 * (s + dmb), 0.5 * (s - dmb)
+    elif abs(su[1, 0]) <= 1e-12:
+        beta, delta = -2.0 * np.angle(su[0, 0]), 0.0
+    else:
+        beta, delta = 2.0 * np.angle(su[1, 0]), 0.0
+    return float(alpha), float(beta), float(gamma), float(delta)
+
+
+def test_zyz_angles_of_a_stack_equal_each_factor_alone():
+    # Haar factors, the negated factors compile_unitary realizes, and
+    # diagonal and anti-diagonal ones, which take the two 1e-12 branches
+    rng = np.random.default_rng(11)
+    phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=(40, 2)))
+    stack = np.concatenate([
+        unitary_group.rvs(2, size=200, random_state=rng),
+        -np.array([op.u2 for op in decompose_unitary(_haar(16, 5), _spec(16))]),
+        np.einsum("ni,ij->nij", phases, np.eye(2)),
+        np.einsum("ni,ij->nij", phases, np.array([[0, 1], [1, 0]])),
+    ])
+    angles = zyz_angles(stack)
+    assert angles.dtype == float and angles.shape == (len(stack), 4)
+    rows = [tuple(a) for a in angles.tolist()]
+    assert rows == [zyz_angles(u) for u in stack] == [_zyz_one_factor(u) for u in stack]
+    assert all(type(x) is float for x in zyz_angles(stack[0]))
+    gammas = angles[-80:, 2].tolist()
+    assert gammas[:40] == [0.0] * 40 and gammas[40:] == [math.pi] * 40
+    assert zyz_angles(np.zeros((0, 2, 2))).shape == (0, 4)
 
 
 def _storage_exponential(p):
@@ -281,6 +356,23 @@ def test_schedule_from_json_rejects_bad_primitive(prim):
     doc["primitives"] = [prim]
     with pytest.raises(ValueError):
         schedule_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind, key, attr", [
+    ("wait", "duration_au", "duration"), ("manifold_pi_pulse", "phase", "phase"),
+    ("storage_pulse", "theta", "theta"), ("storage_pulse", "phase_e", "phase_e"),
+])
+@pytest.mark.parametrize("value", [True, "0.5", None, math.nan, -math.inf])
+def test_schedule_from_json_names_the_bad_number(kind, key, attr, value):
+    doc = _schedule_doc()
+    prim = next(p for p in doc["primitives"] if p["type"] == kind)
+    doc["primitives"] = [dict(prim, **{key: value})]
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be a finite number, "
+                                                   f"got {value!r}")):
+        schedule_from_json(json.dumps(doc))
+    # an integer is a number too, read as it stands
+    doc["primitives"] = [dict(prim, **{key: 1})]
+    assert getattr(schedule_from_json(json.dumps(doc)).primitives[0], attr) == 1
 
 
 def test_schedule_json_roundtrip():
