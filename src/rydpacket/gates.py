@@ -46,7 +46,22 @@ view of those two rows, never by an embedded d x d product (O(d^3)) or
 a fancy-index gather.  The product stays a BLAS call: elementwise numpy
 and Python-scalar forms round differently from zgemm, and the frozen
 schedules depend on the factors' bits.  For the same reason the
-batched zyz_angles keeps numpy-scalar abs for its moduli.
+batched zyz_angles keeps scalar abs for its moduli, and a Givens
+rotation, built from Python scalars, rounds as numpy's complex
+division does.
+
+Values are checked where they enter: the public constructors of
+TwoLevelOp (a unitary 2 x 2 within UNITARITY_TOL on two distinct slots)
+and of the schedule primitives (finite numbers, a target 'g' or 'e'),
+schedule_from_json, and the target U of decompose_unitary,
+compile_unitary and process_fidelity (unitary within UNITARITY_TOL).
+Factors this module builds from checked input are not checked again
+(TwoLevelOp._checked): a Givens rotation is normalised by hypot, its
+inverse is its conjugate transpose, a phase pair is diag(e^{i phi}),
+so each is unitary to a few ulp, and a product merge_same_pair fuses
+is off by at most its factors' errors plus rounding.  Re-checking them
+could never fail once U has passed; the tests hold every factor of
+compiled Haar and two-level targets, d = 2..16, within 1e-12.
 
 The default gate pulse FWHM is 0.25 ln2 t_kepler / d, half the
 bandwidth-limit demonstration value: transfer to slots adjacent to the
@@ -125,6 +140,15 @@ class TwoLevelOp:
             raise ValueError("two-level op needs distinct slots")
         object.__setattr__(self, "u2", _unitary(self.u2, 2))
 
+    @classmethod
+    def _checked(cls, k: int, k2: int, u2: np.ndarray) -> "TwoLevelOp":
+        """A factor built in this module from checked input (distinct
+        slots, a complex 2 x 2 u2 unitary by construction): __post_init__
+        does not run."""
+        op = object.__new__(cls)
+        op.__dict__.update(k=k, k2=k2, u2=u2)
+        return op
+
     def embed(self, spec: ManifoldSpec) -> np.ndarray:
         U = np.eye(spec.d, dtype=complex)
         a, b = spec.slot_index(self.k), spec.slot_index(self.k2)
@@ -170,25 +194,20 @@ def decompose_unitary(U: np.ndarray, spec: ManifoldSpec) -> list[TwoLevelOp]:
 def _decompose(U: np.ndarray, spec: ManifoldSpec) -> list[TwoLevelOp]:
     """decompose_unitary of a U that _unitary has already checked."""
     d = spec.d
-    ks = spec.k_values
+    ks = spec.k_values.tolist()
     M = U.copy()
     rotations: list[TwoLevelOp] = []   # elimination order
     for c in range(d - 1):
         for r in range(d - 1, c, -1):
-            y = M[r, c]
+            y = M.item(r, c)
             if abs(y) <= 1e-14:
                 M[r, c] = 0.0
                 continue
-            x = M[c, c]
-            nrm = math.hypot(abs(x), abs(y))
-            g = np.array(
-                [[np.conj(x) / nrm, np.conj(y) / nrm], [-y / nrm, x / nrm]],
-                dtype=complex,
-            )
+            g = _givens(M.item(c, c), y)
             rows = M[c:r + 1:r - c]
             rows[...] = g @ rows
             M[r, c] = 0.0
-            rotations.append(TwoLevelOp(k=int(ks[c]), k2=int(ks[r]), u2=g))
+            rotations.append(TwoLevelOp._checked(ks[c], ks[r], g))
 
     # pair up the residual diagonal phases; pairing nonzero phases with
     # each other keeps a two-level-sparse input down to a single factor
@@ -216,14 +235,25 @@ def _decompose(U: np.ndarray, spec: ManifoldSpec) -> list[TwoLevelOp]:
 
     # U = G1' G2' ... GN' D, so D acts first, then the inverses in reverse
     for g in reversed(rotations):
-        ops.append(TwoLevelOp(k=g.k, k2=g.k2, u2=g.u2.conj().T))
+        ops.append(TwoLevelOp._checked(g.k, g.k2, g.u2.conj().T))
     return ops
+
+
+def _givens(x: complex, y: complex) -> np.ndarray:
+    """The rotation [[x*, y*], [-y, x]] / hypot(|x|, |y|) that takes
+    (x, y) to (hypot, 0), from Python scalars, with the bits of numpy's
+    complex128 / float.  numpy divides by a float nrm as
+    ((re + im 0) s, (im - re 0) s) with s = 1 / nrm; the Python product
+    by complex(s, -0.0) rounds the same, signs of zero included (plain
+    * s flips some zero signs, and Python's / rounds differently)."""
+    s = complex(1.0 / math.hypot(abs(x), abs(y)), -0.0)
+    return np.array([[x.conjugate() * s, y.conjugate() * s], [-y * s, x * s]])
 
 
 def _phase_pair_op(spec, i, phi_i, i2, phi_i2) -> TwoLevelOp:
     ks = spec.k_values
     u2 = np.diag([np.exp(1j * phi_i), np.exp(1j * phi_i2)]).astype(complex)
-    return TwoLevelOp(k=int(ks[i]), k2=int(ks[i2]), u2=u2)
+    return TwoLevelOp._checked(int(ks[i]), int(ks[i2]), u2)
 
 
 def zyz_angles(u2: np.ndarray) -> tuple[float, float, float, float] | np.ndarray:
@@ -236,19 +266,21 @@ def zyz_angles(u2: np.ndarray) -> tuple[float, float, float, float] | np.ndarray
     products give the same bits batched as one factor at a time, so each
     row of a stack equals zyz_angles of its factor alone.  The array
     holds no Python object per factor, which would stay alive while a
-    compile runs.  The moduli |su00| and |su10| stay numpy-scalar abs:
-    array np.abs (a SIMD loop) rounds the last bit differently on about
-    a third of the factors of a Haar target, which would move the
-    angles and the compiled schedules.
+    compile runs.  The moduli |su00| and |su10| stay scalar abs (libm
+    hypot, for numpy and Python scalars alike): array np.abs (a SIMD
+    loop) rounds the last bit differently on about a third of the
+    factors of a Haar target, which would move the angles and the
+    compiled schedules.  The per-factor arithmetic runs on Python
+    floats, which round as numpy float64 scalars do.
     """
     u = np.asarray(u2, dtype=complex)
     alphas = 0.5 * np.angle(np.linalg.det(u))
     su = u * np.exp(-1j * alphas)[..., None, None]
     su00, su10 = su[..., 0, 0], su[..., 1, 0]
     angles = []
-    for alpha, s00, s10, arg00, arg10 in zip(
-            np.ravel(alphas), np.ravel(su00), np.ravel(su10),
-            np.ravel(np.angle(su00)), np.ravel(np.angle(su10))):
+    for alpha, s00, s10, arg00, arg10 in zip(*(
+            np.ravel(a).tolist()
+            for a in (alphas, su00, su10, np.angle(su00), np.angle(su10)))):
         m00, m10 = abs(s00), abs(s10)
         gamma = 2.0 * math.atan2(m10, m00)
         if m00 > 1e-12 and m10 > 1e-12:
@@ -262,7 +294,7 @@ def zyz_angles(u2: np.ndarray) -> tuple[float, float, float, float] | np.ndarray
         else:
             beta = 2.0 * arg10
             delta = 0.0
-        angles.append((float(alpha), float(beta), float(gamma), float(delta)))
+        angles.append((alpha, beta, gamma, delta))
     return np.array(angles).reshape(-1, 4) if u.ndim == 3 else angles[0]
 
 
@@ -322,6 +354,11 @@ class StoragePulse:
     phase_e: float = 0.0
 
     def __post_init__(self):
+        # a finite sum has finite terms; starting it at 0.0 makes every
+        # partial sum a float, so an int field converts as in math.isfinite
+        if math.isfinite(0.0 + self.theta + self.phi + self.detuning_area
+                         + self.phase_g + self.phase_e):
+            return
         values = (self.theta, self.phi, self.detuning_area, self.phase_g, self.phase_e)
         if not all(map(math.isfinite, values)):
             name, v = next((f.name, v) for f, v in zip(fields(self), values)
@@ -402,8 +439,14 @@ def _json_scalar(v) -> str:
 def schedule_to_json(schedule: GateSchedule) -> str:
     """The schedule as JSON text, laid out as json.dumps(doc, indent=2)
     lays out the document (written directly: json's indented encoder is
-    pure Python)."""
-    num = _json_scalar
+    pure Python).  The primitives' constructors keep their numbers finite
+    and a pulse's target 'g' or 'e', so a float field of a primitive is
+    written by its repr and the target as a literal; header fields, and
+    a primitive's int fields, go through _json_scalar."""
+
+    def num(v) -> str:
+        return float.__repr__(v) if type(v) is float else _json_scalar(v)
+
     prims = []
     for p in schedule.primitives:
         if isinstance(p, Wait):
@@ -414,8 +457,8 @@ def schedule_to_json(schedule: GateSchedule) -> str:
         elif isinstance(p, ManifoldPiPulse):
             prims.append(
                 '    {\n      "type": "manifold_pi_pulse",\n'
-                f'      "slot": {num(p.slot)},\n'
-                f'      "target": {num(p.target)},\n'
+                f'      "slot": {_json_scalar(p.slot)},\n'
+                f'      "target": "{p.target}",\n'
                 f'      "phase": {num(p.phase)}\n    }}')
         elif isinstance(p, StoragePulse):
             prims.append(
@@ -430,12 +473,12 @@ def schedule_to_json(schedule: GateSchedule) -> str:
     listing = "[\n" + ",\n".join(prims) + "\n  ]" if prims else "[]"
     return (
         "{\n"
-        f'  "nbar": {num(schedule.nbar)},\n'
-        f'  "d": {num(schedule.d)},\n'
-        f'  "pulse_fwhm_au": {num(schedule.pulse_fwhm)},\n'
-        f'  "pulse_fwhm_si_ns": {num(schedule.pulse_fwhm * AU_TIME_NS)},\n'
-        f'  "peak_rabi_au": {num(schedule.peak_rabi)},\n'
-        f'  "recorded_global_phase": {num(schedule.recorded_global_phase)},\n'
+        f'  "nbar": {_json_scalar(schedule.nbar)},\n'
+        f'  "d": {_json_scalar(schedule.d)},\n'
+        f'  "pulse_fwhm_au": {_json_scalar(schedule.pulse_fwhm)},\n'
+        f'  "pulse_fwhm_si_ns": {_json_scalar(schedule.pulse_fwhm * AU_TIME_NS)},\n'
+        f'  "peak_rabi_au": {_json_scalar(schedule.peak_rabi)},\n'
+        f'  "recorded_global_phase": {_json_scalar(schedule.recorded_global_phase)},\n'
         f'  "primitives": {listing}\n'
         "}"
     )
@@ -566,13 +609,14 @@ class _Compiler:
 
 
 def merge_same_pair(ops: list[TwoLevelOp]) -> list[TwoLevelOp]:
-    """Fuse consecutive factors acting on the same slot pair."""
+    """Fuse consecutive factors acting on the same slot pair.  A fused
+    product of checked factors is not checked again."""
     out: list[TwoLevelOp] = []
     for op in ops:
         if out and {out[-1].k, out[-1].k2} == {op.k, op.k2}:
             prev = out.pop()
             u_prev = prev.u2 if (prev.k, prev.k2) == (op.k, op.k2) else _swapped(prev.u2)
-            out.append(TwoLevelOp(k=op.k, k2=op.k2, u2=op.u2 @ u_prev))
+            out.append(TwoLevelOp._checked(op.k, op.k2, op.u2 @ u_prev))
         else:
             out.append(op)
     return [op for op in out if not _is_identity2(op.u2)]

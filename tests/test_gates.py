@@ -73,6 +73,18 @@ FACTOR_SHA256 = {
     ("two_level", 4): "d0768083c36116918890bb9b7c24e9c57b0f02d572637c399104ca6a3cfdb4b8",
     ("two_level", 8): "eff126dc0d59ba542e2c9a3c28ef8bb75e73c2473b957b70df5d7839b8e408cc",
 }
+# SHA-256 over M.tobytes(), then t_end as float64 bytes, of
+# schedule_operator(compile_unitary(_haar(d, d)), mode, pulses) at nbar = 180
+SCHEDULE_OPERATOR_SHA256 = {
+    ("taylor1", "ideal", 2): "0600a495a5bbb344fd51812fa43d47be22353b37ff91e4ad5896e34d44e6bb3a",
+    ("taylor1", "ideal", 4): "20dd41b45d984cf92c04745778912aba0e2b8927e81d3ee796accb966f9ec950",
+    ("taylor1", "ideal", 8): "b5561ee407108fe2641a298fc5e89efe83a8a0647ef0003a3b4322ae84443265",
+    ("taylor1", "ideal", 16): "8e279b3257f3cf8bd78580ffdcf5acd930923bbc1402f26b2b66525ddb1bb32b",
+    ("exact", "full", 2): "007a80558cbf76624f3363ce58a57b9785514d26b4c14dde6ce03e5a54d3f9a0",
+    ("exact", "full", 4): "799a82967eb6f84557cd5c9047cfb75dc9c67f0880fded2ad7327b59ad263bbe",
+    ("exact", "full", 8): "9e625b9088c718f9d4ad883e927c8195fa3a96c4eda2e97153be34b407eead68",
+    ("exact", "full", 16): "bd8d8f3d97677b328fc37289a9e1eb5d73f01487bcb78996b89119e7caff3368",
+}
 
 
 def _haar(d, seed):
@@ -96,6 +108,10 @@ def test_two_level_op_validation():
         TwoLevelOp(k=0, k2=1, u2=np.eye(3))
     with pytest.raises(ValueError):
         TwoLevelOp(k=0, k2=1, u2=np.array([[1, 0], [0, 2.0]]))
+    # just outside UNITARITY_TOL: factors built inside gates skip this
+    # check, the public constructor does not
+    with pytest.raises(ValueError, match="not unitary"):
+        TwoLevelOp(k=0, k2=1, u2=np.array([[1.0, 0.0], [0.0, 1.0 + 2e-9]]))
 
 
 def test_embed_places_block():
@@ -128,6 +144,53 @@ def test_decompose_factors_are_frozen(kind, d):
         h.update(f"{op.k},{op.k2}:".encode())
         h.update(op.u2.tobytes())
     assert h.hexdigest() == FACTOR_SHA256[kind, d]
+
+
+def _unitarity_error(u):
+    return np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_factors_built_from_a_checked_target_stay_unitary(d, monkeypatch):
+    # factors built inside gates skip TwoLevelOp's unitarity check; they
+    # hold it far inside UNITARITY_TOL
+    spec = _spec(d)
+    merged = []
+    merge = gates_mod.merge_same_pair
+
+    def recording_merge(ops):
+        out = merge(ops)
+        merged.extend(out)
+        return out
+
+    monkeypatch.setattr(gates_mod, "merge_same_pair", recording_merge)
+    for seed in (500 + d, 600 + d):
+        for U in (_haar(d, seed), random_two_level_unitary(spec, seed)):
+            for op in decompose_unitary(U, spec):
+                assert _unitarity_error(op.u2) <= 1e-12
+            compile_unitary(U, spec)
+    assert merged
+    for op in merged:
+        assert _unitarity_error(op.u2) <= 1e-12
+
+
+def test_givens_rotation_rounds_as_numpy_division():
+    # _givens builds a rotation from Python scalars; the frozen factors
+    # were made by numpy's complex128 / float, so a change of either
+    # rounding fails here, not only as a digest mismatch
+    rng = np.random.default_rng(20)
+    z = (10.0 ** rng.uniform(-14, 2, size=(20000, 2))
+         * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(20000, 2))))
+    # exact zeros of either sign, as permutation and diagonal targets give
+    parts = (0.0, -0.0, 1.0, -1.0, 0.6)
+    edges = [complex(a, b) for a in parts for b in parts]
+    pairs = [*map(tuple, z.tolist()), *((x, y) for x in edges for y in edges if y)]
+    for x, y in pairs:
+        X, Y = np.complex128(x), np.complex128(y)
+        nrm = math.hypot(abs(X), abs(Y))
+        want = np.array([[np.conj(X) / nrm, np.conj(Y) / nrm], [-Y / nrm, X / nrm]],
+                        dtype=complex)
+        assert gates_mod._givens(x, y).tobytes() == want.tobytes(), (x, y)
 
 
 @pytest.mark.parametrize("d", range(2, 17))
@@ -305,6 +368,19 @@ def test_storage_pulse_rejects_non_finite(name):
             StoragePulse(**{name: value})
 
 
+def test_storage_pulse_checks_each_field_when_the_sum_is_not_finite():
+    big = 1.7976931348623157e308
+    # finite fields whose sum overflows
+    assert StoragePulse(theta=big, phi=big, detuning_area=-big).phi == big
+    # inf - inf sums to NaN; the first bad field is named
+    with pytest.raises(ValueError, match="theta must be finite, got inf"):
+        StoragePulse(theta=math.inf, phi=-math.inf)
+    # an int too large for a float raises as math.isfinite does, even
+    # where the ints cancel
+    with pytest.raises(OverflowError):
+        StoragePulse(theta=10**400, phi=-10**400)
+
+
 @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
 def test_manifold_pulse_rejects_non_finite_phase(phase):
     with pytest.raises(ValueError, match="phase"):
@@ -459,13 +535,26 @@ _EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308)
                  primitives=[Wait(5), ManifoldPiPulse(slot=-1, target="e", phase=1),
                              StoragePulse(theta=1, phi=-2, detuning_area=3, phase_g=0,
                                           phase_e=4)]),
-    # the largest duration overflows duration_si_ns, which json writes as Infinity
+    # AU_TIME_NS < 1, so even the largest duration has a finite
+    # duration_si_ns (4.35e+300)
     GateSchedule(nbar=180, d=4, pulse_fwhm=5e-324, peak_rabi=1.7976931348623157e308,
                  recorded_global_phase=-0.0,
                  primitives=[*(Wait(v) for v in _EXTREMES),
                              *(ManifoldPiPulse(slot=0, target="g", phase=v) for v in _EXTREMES),
                              StoragePulse(*_EXTREMES, *_EXTREMES[:2])]),
-], ids=["empty", "int-fields", "extreme-floats"])
+    # a float subclass goes through _json_scalar, not its own repr
+    GateSchedule(nbar=180, d=4, pulse_fwhm=np.float64(3.5), peak_rabi=2.0,
+                 primitives=[Wait(np.float64(2.5)),
+                             ManifoldPiPulse(slot=1, target="g", phase=np.float64(-0.5)),
+                             StoragePulse(theta=np.float64(0.25), phase_e=np.float64(1e-300))]),
+    # GateSchedule leaves its header unchecked: non-finite header fields
+    # are written by json.dumps, as Infinity and NaN
+    GateSchedule(nbar=180, d=4, pulse_fwhm=math.inf, peak_rabi=math.nan,
+                 recorded_global_phase=-math.inf,
+                 primitives=[Wait(1.0), ManifoldPiPulse(slot=0, target="e"),
+                             StoragePulse(theta=1.0)]),
+], ids=["empty", "int-fields", "extreme-floats", "float-subclass-fields",
+        "non-finite-header"])
 def test_schedule_to_json_fixed_cases(sched):
     assert schedule_to_json(sched) == _schedule_json_oracle(sched)
 
@@ -474,6 +563,14 @@ def test_schedule_to_json_fixed_cases(sched):
 def test_compiled_schedule_json_is_frozen(d):
     text = schedule_to_json(compile_unitary(_haar(d, d), _spec(d)))
     assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_JSON_SHA256[d]
+
+
+@pytest.mark.parametrize("mode, pulses, d", sorted(SCHEDULE_OPERATOR_SHA256))
+def test_compiled_schedule_operator_is_frozen(mode, pulses, d):
+    M, t_end = schedule_operator(compile_unitary(_haar(d, d), _spec(d)), mode, pulses)
+    h = hashlib.sha256(M.tobytes())
+    h.update(np.float64(t_end).tobytes())
+    assert h.hexdigest() == SCHEDULE_OPERATOR_SHA256[mode, pulses, d]
 
 
 def test_shift_targets_compile_to_free_flight():
