@@ -9,18 +9,25 @@ the module that defines it (`rydpacket.manifold`, `.basis`,
 `.evolution`, `.pulse`, `.gates`, `.scenarios`, `.cli`).
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
 from .evolution import shift_matrix
 from .gates import Wait, compile_unitary, process_fidelity, run_program
 from .manifold import ManifoldSpec, time_scales
 from .pulse import SimulationState
 from .scenarios import list_scenarios, run_scenario
 
-try:
-    __version__ = version("artifact")
-except PackageNotFoundError:
-    __version__ = "0.0.0"
+
+def __getattr__(name: str):
+    # __version__ is looked up on first use (PEP 562): importlib.metadata
+    # pulls in email, csv and more, which loading the package need not pay
+    if name == "__version__":
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            return version("artifact")
+        except PackageNotFoundError:
+            return "0.0.0"
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ManifoldSpec",

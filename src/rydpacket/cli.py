@@ -15,7 +15,6 @@ invalid.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import os
 import sys
@@ -146,6 +145,8 @@ def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     if args.jobs > 1 and len(args.sources) > 1:
+        import concurrent.futures   # only here: a plain run need not load it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_source, args.sources))
     else:

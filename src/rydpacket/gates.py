@@ -24,6 +24,20 @@ support half-width (PulseSpec.half_width).  GateSchedule.clock is the
 one walk that places the pulses; duration and schedule_operator both
 read it.
 
+The primitives (Wait, ManifoldPiPulse, StoragePulse) are frozen
+values, so a schedule may hold one object many times.  A compiled
+schedule repeats a few waits and pulses (a d = 16 Haar gate: 480 pi
+pulses of 30 kinds, 600 waits of 132 durations), and the module keeps
+one object per distinct value where it builds them: the compiler per
+wait duration and per (slot, target) pulse within one compile, and
+schedule_from_json per wait and manifold pulse within one document,
+keyed so that 0, 0.0 and -0.0 stay apart (each is written as it
+stands).  Storage pulses carry a factor's angles and rarely repeat, so
+each is its own object.  schedule_to_json renders each distinct object
+once per call.  Sharing changes no byte of the JSON and no bit of any
+operator; it saves the building, checking, writing and freeing of the
+repeats.
+
 schedule_operator folds a whole schedule into one (d+2) x (d+2)
 operator over (g, e, levels), and run_program and process_fidelity
 apply it to one state or to the stacked probe set.  run_program is the
@@ -447,29 +461,30 @@ def schedule_to_json(schedule: GateSchedule) -> str:
     def num(v) -> str:
         return float.__repr__(v) if type(v) is float else _json_scalar(v)
 
-    prims = []
-    for p in schedule.primitives:
+    def render(p) -> str:
         if isinstance(p, Wait):
-            prims.append(
-                '    {\n      "type": "wait",\n'
-                f'      "duration_au": {num(p.duration)},\n'
-                f'      "duration_si_ns": {num(p.duration * AU_TIME_NS)}\n    }}')
-        elif isinstance(p, ManifoldPiPulse):
-            prims.append(
-                '    {\n      "type": "manifold_pi_pulse",\n'
-                f'      "slot": {_json_scalar(p.slot)},\n'
-                f'      "target": "{p.target}",\n'
-                f'      "phase": {num(p.phase)}\n    }}')
-        elif isinstance(p, StoragePulse):
-            prims.append(
-                '    {\n      "type": "storage_pulse",\n'
-                f'      "theta": {num(p.theta)},\n'
-                f'      "phi": {num(p.phi)},\n'
-                f'      "detuning_area": {num(p.detuning_area)},\n'
-                f'      "phase_g": {num(p.phase_g)},\n'
-                f'      "phase_e": {num(p.phase_e)}\n    }}')
-        else:
-            raise TypeError(f"unknown primitive {p!r}")
+            return ('    {\n      "type": "wait",\n'
+                    f'      "duration_au": {num(p.duration)},\n'
+                    f'      "duration_si_ns": {num(p.duration * AU_TIME_NS)}\n    }}')
+        if isinstance(p, ManifoldPiPulse):
+            return ('    {\n      "type": "manifold_pi_pulse",\n'
+                    f'      "slot": {_json_scalar(p.slot)},\n'
+                    f'      "target": "{p.target}",\n'
+                    f'      "phase": {num(p.phase)}\n    }}')
+        if isinstance(p, StoragePulse):
+            return ('    {\n      "type": "storage_pulse",\n'
+                    f'      "theta": {num(p.theta)},\n'
+                    f'      "phi": {num(p.phi)},\n'
+                    f'      "detuning_area": {num(p.detuning_area)},\n'
+                    f'      "phase_g": {num(p.phase_g)},\n'
+                    f'      "phase_e": {num(p.phase_e)}\n    }}')
+        raise TypeError(f"unknown primitive {p!r}")
+
+    # a schedule may hold one primitive object many times: render each
+    # object once (the list keeps every object, and so its id, alive)
+    rendered: dict[int, str] = {}
+    prims = [rendered.get(id(p)) or rendered.setdefault(id(p), render(p))
+             for p in schedule.primitives]
     listing = "[\n" + ",\n".join(prims) + "\n  ]" if prims else "[]"
     return (
         "{\n"
@@ -514,13 +529,27 @@ def schedule_from_json(text: str) -> GateSchedule:
         raise ValueError("peak_rabi_au must be positive")
     check_input_area(rabi, _pi_peak_rabi(spec, fwhm))
     prims: list = []
+    # one object per distinct wait and manifold pulse of the document,
+    # looked up once its fields have passed their checks; a key tells
+    # 0 from 0.0 and -0.0, which are written differently
+    waits: dict[tuple, Wait] = {}
+    pulses: dict[tuple, ManifoldPiPulse] = {}
     for p in doc["primitives"]:
         kind = p["type"]
         if kind == "wait":
-            prims.append(Wait(_json_number(p, "duration_au")))
+            v = _json_number(p, "duration_au")
+            key = (type(v), v, math.copysign(1.0, v))
+            prims.append(waits.get(key) or waits.setdefault(key, Wait(v)))
         elif kind == "manifold_pi_pulse":
-            spec.slot_index(_json_int(p, "slot"))
-            prims.append(ManifoldPiPulse(p["slot"], p["target"], _json_number(p, "phase")))
+            slot = _json_int(p, "slot")
+            spec.slot_index(slot)
+            target, phase = p["target"], _json_number(p, "phase")
+            # a bad target (perhaps unhashable) is never a key: the
+            # constructor rejects it before it could be stored
+            key = (slot, target in ("g", "e") and target,
+                   type(phase), phase, math.copysign(1.0, phase))
+            prims.append(pulses.get(key)
+                         or pulses.setdefault(key, ManifoldPiPulse(slot, target, phase)))
         elif kind == "storage_pulse":
             prims.append(StoragePulse(*[
                 _json_number(p, key)
@@ -568,13 +597,24 @@ class _Compiler:
         self.half = PulseSpec(fwhm=pulse_fwhm, peak_rabi=1.0).half_width
         self.t = 0.0                      # clock at end of emitted primitives
         self.prims: list = []
+        # one object per distinct wait duration and manifold pulse
+        self.waits: dict[float, Wait] = {}
+        self.pulses: dict[tuple[int, str], ManifoldPiPulse] = {}
+
+    def _wait(self, duration: float) -> None:
+        # a duration is a float >= +0.0 (a float difference is -0.0 only
+        # as -0.0 - 0.0), so equal keys are written alike
+        self.prims.append(self.waits.get(duration)
+                          or self.waits.setdefault(duration, Wait(duration)))
 
     def _pulse_at(self, center: float, slot: int, target: str) -> None:
         start = center - self.half
         if start < self.t - 1e-6 * self.step:
             raise RuntimeError("pulse scheduling went backwards")
-        self.prims.append(Wait(duration=max(start - self.t, 0.0)))
-        self.prims.append(ManifoldPiPulse(slot=slot, target=target))
+        self._wait(max(start - self.t, 0.0))
+        self.prims.append(self.pulses.get((slot, target))
+                          or self.pulses.setdefault((slot, target),
+                                                    ManifoldPiPulse(slot, target)))
         self.t = center + self.half
 
     def add_fragment(self, op: TwoLevelOp, angles: np.ndarray) -> None:
@@ -604,7 +644,7 @@ class _Compiler:
         span = self.spec.d * self.step
         t_end = math.ceil(self.t / span - 1e-9) * span
         if t_end > self.t:
-            self.prims.append(Wait(duration=t_end - self.t))
+            self._wait(t_end - self.t)
             self.t = t_end
 
 

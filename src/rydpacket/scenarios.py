@@ -962,7 +962,9 @@ def _parse_pulse_event(sub: dict, spec: ManifoldSpec, clock: float, where: str) 
     pi_peak = pi_pulse_peak_rabi(spec, fwhm)
     if "area" in sub:
         area = math.pi if sub["area"] == "pi" else _finite(sub["area"], f"{where}.area")
-        peak = pi_peak * area / math.pi
+        # area / pi first: an area of +-100 pi gives a peak at the edge
+        # check_input_area puts on a peak, to the bit
+        peak = pi_peak * (area / math.pi)
         checked = (area, math.pi)           # the area as given, in radians
     else:
         peak = _finite(sub["peak_rabi"], f"{where}.peak_rabi")

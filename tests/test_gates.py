@@ -419,6 +419,14 @@ def test_schedule_from_json_rejects_bad_header(field, value):
         schedule_from_json(json.dumps(doc))
 
 
+_GOOD_PRIMITIVES = {
+    "wait": {"type": "wait", "duration_au": 0.0},
+    "manifold_pi_pulse": {"type": "manifold_pi_pulse", "slot": 0, "target": "g", "phase": 0.0},
+    "storage_pulse": {"type": "storage_pulse", "theta": 0.0, "phi": 0.0, "detuning_area": 0.0,
+                      "phase_g": 0.0, "phase_e": 0.0},
+}
+
+
 @pytest.mark.parametrize("prim", [
     {"type": "wait", "duration_au": math.nan},
     {"type": "manifold_pi_pulse", "slot": 0, "target": "x", "phase": 0.0},
@@ -426,12 +434,21 @@ def test_schedule_from_json_rejects_bad_header(field, value):
     {"type": "manifold_pi_pulse", "slot": 0, "target": "g", "phase": math.inf},
     {"type": "storage_pulse", "theta": math.nan, "phi": 0.0, "detuning_area": 0.0,
      "phase_g": 0.0, "phase_e": 0.0},
+    {"type": "wait", "duration_au": -1.0},
+    {"type": "manifold_pi_pulse", "slot": 0, "target": ["g"], "phase": 0.0},
 ])
 def test_schedule_from_json_rejects_bad_primitive(prim):
+    # alone, and with one message after good primitives of its kind,
+    # which the reader keeps one object for
     doc = _schedule_doc()
-    doc["primitives"] = [prim]
-    with pytest.raises(ValueError):
-        schedule_from_json(json.dumps(doc))
+    good = _GOOD_PRIMITIVES[prim["type"]]
+    messages = []
+    for primitives in ([prim], [good, good, prim]):
+        doc["primitives"] = primitives
+        with pytest.raises(ValueError) as err:
+            schedule_from_json(json.dumps(doc))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("kind, key, attr", [
@@ -442,13 +459,16 @@ def test_schedule_from_json_rejects_bad_primitive(prim):
 def test_schedule_from_json_names_the_bad_number(kind, key, attr, value):
     doc = _schedule_doc()
     prim = next(p for p in doc["primitives"] if p["type"] == kind)
-    doc["primitives"] = [dict(prim, **{key: value})]
-    with pytest.raises(ValueError, match=re.escape(f"{key} must be a finite number, "
-                                                   f"got {value!r}")):
-        schedule_from_json(json.dumps(doc))
-    # an integer is a number too, read as it stands
-    doc["primitives"] = [dict(prim, **{key: 1})]
-    assert getattr(schedule_from_json(json.dumps(doc)).primitives[0], attr) == 1
+    # alone, and after the same primitive with a good value
+    for lead in ([], [prim]):
+        doc["primitives"] = [*lead, dict(prim, **{key: value})]
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be a finite number, "
+                                                       f"got {value!r}")):
+            schedule_from_json(json.dumps(doc))
+    # an integer is a number too, read as it stands, apart from an equal float
+    doc["primitives"] = [dict(prim, **{key: 1.0}), dict(prim, **{key: 1})]
+    got = [getattr(p, attr) for p in schedule_from_json(json.dumps(doc)).primitives]
+    assert [(type(v), v) for v in got] == [(float, 1.0), (int, 1)]
 
 
 def test_schedule_json_roundtrip():
@@ -557,6 +577,85 @@ _EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308)
         "non-finite-header"])
 def test_schedule_to_json_fixed_cases(sched):
     assert schedule_to_json(sched) == _schedule_json_oracle(sched)
+
+
+# equal as numbers, written differently: a primitive object may stand for
+# only one of them
+_SHARED_VALUES = (0, 0.0, -0.0, 1, 1.0, 2.5, -2.5, 5e-324, 7)
+
+
+def _repeating_primitives(seed, n=80):
+    """Seeded primitives drawn from a few values, so that equal waits and
+    pulses repeat: Wait(0), Wait(0.0) and Wait(-0.0) all occur."""
+    rng = np.random.default_rng(seed)
+    ks = [int(k) for k in _spec(4).k_values]
+
+    def value():
+        return _SHARED_VALUES[rng.integers(len(_SHARED_VALUES))]
+
+    prims = []
+    for kind in rng.integers(3, size=n):
+        if kind == 0:
+            prims.append(Wait(abs(value())))
+        elif kind == 1:
+            prims.append(ManifoldPiPulse(slot=ks[rng.integers(4)],
+                                         target="ge"[rng.integers(2)], phase=value()))
+        else:
+            prims.append(StoragePulse(*(value() for _ in range(5))))
+    for v in (0, 0.0, -0.0):
+        prims.insert(rng.integers(len(prims) + 1), Wait(v))
+    return prims
+
+
+def _written_key(p):
+    """The fields of p as the writer tells them apart: type and sign of
+    zero included."""
+    return (type(p),) + tuple((type(v), v, math.copysign(1.0, v) if v == 0 else 0.0)
+                              for v in vars(p).values())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_schedule_json_of_repeated_primitives(seed):
+    prims = _repeating_primitives(seed)
+    spec = _spec(4)
+    fwhm = 0.05 * time_scales(spec).t_kepler
+    sched = GateSchedule(nbar=180, d=4, pulse_fwhm=fwhm, primitives=prims,
+                         peak_rabi=pi_pulse_peak_rabi(spec, fwhm))
+    text = schedule_to_json(sched)
+    assert text == _schedule_json_oracle(sched)
+    back = schedule_from_json(text)
+    assert schedule_to_json(back) == text
+    # the reader keeps one object per distinct wait and manifold pulse,
+    # and never one object for two primitives written differently
+    for kind in (Wait, ManifoldPiPulse):
+        parsed = [p for p in back.primitives if type(p) is kind]
+        by_key = {}
+        for p in parsed:
+            assert by_key.setdefault(_written_key(p), p) is p
+        assert len({id(p) for p in parsed}) == len(by_key)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_schedule_json_of_one_object_held_many_times(seed):
+    # a schedule that holds one object several times writes the bytes of
+    # a schedule of distinct equal objects
+    pool = _repeating_primitives(seed, n=12)
+    rng = np.random.default_rng(100 + seed)
+    shared = [pool[i] for i in rng.integers(len(pool), size=60)]
+    distinct = [replace(p) for p in shared]
+    assert len({id(p) for p in distinct}) == 60 > len({id(p) for p in shared})
+    header = dict(nbar=180, d=4, pulse_fwhm=3.5, peak_rabi=2.0)
+    text = schedule_to_json(GateSchedule(**header, primitives=shared))
+    assert text == schedule_to_json(GateSchedule(**header, primitives=distinct))
+    assert text == _schedule_json_oracle(GateSchedule(**header, primitives=distinct))
+
+
+def test_compiled_schedule_holds_one_object_per_distinct_primitive():
+    d = 16
+    sched = compile_unitary(_haar(d, d), _spec(d))
+    for kind in (Wait, ManifoldPiPulse):
+        held = [p for p in sched.primitives if type(p) is kind]
+        assert len({id(p) for p in held}) == len(set(held)) < len(held)
 
 
 @pytest.mark.parametrize("d", sorted(SCHEDULE_JSON_SHA256))

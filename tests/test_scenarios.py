@@ -830,6 +830,27 @@ def test_pulse_area_edge_is_one_rule_for_configs_and_schedule_json(fwhm_kepler):
         assert not config_accepts(area=sign * math.nextafter(MAX_PULSE_AREA, math.inf))
 
 
+def test_pulse_area_edge_gives_a_peak_schedule_json_accepts():
+    # an area of +-100 pi once gave a peak one ulp past the bound on the
+    # peak for about 1 in 3 calibrated pi peaks, so the declarative pulse
+    # ran while schedule JSON holding its peak was refused; `area: pi`
+    # gives the calibrated pi peak itself
+    rng = np.random.default_rng(22)
+    lo, hi = np.log(FWHM_RANGE_KEPLER)
+    for _ in range(200):
+        d = int(rng.integers(2, 17))
+        spec = ManifoldSpec(nbar=int(rng.integers(d + 2, 2000)), d=d)
+        fwhm = float(np.exp(rng.uniform(lo, hi))) * time_scales(spec).t_kepler
+        pi_peak = pi_pulse_peak_rabi(spec, fwhm)
+        doc = {"nbar": spec.nbar, "d": d, "pulse_fwhm_au": fwhm, "primitives": []}
+        assert _parse_pulse_event({"fwhm": fwhm, "area": "pi"}, spec, 0.0, "ev").peak_rabi == pi_peak
+        for sign in (1.0, -1.0):
+            peak = _parse_pulse_event({"fwhm": fwhm, "area": sign * MAX_PULSE_AREA},
+                                      spec, 0.0, "ev").peak_rabi
+            assert peak == sign * (MAX_PULSE_AREA / math.pi * pi_peak)
+            schedule_from_json(json.dumps(dict(doc, peak_rabi_au=abs(peak))))
+
+
 @pytest.mark.parametrize("scenario, params, key", [
     ("qft_roundtrip", "{n_states: 0}", "n_states"),             # once a traceback
     ("qft_roundtrip", "{d_min: 0, d_max: 3}", "d_min"),         # once a traceback
