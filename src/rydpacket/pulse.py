@@ -45,11 +45,11 @@ check_input_fwhm and check_input_area bound every pulse given as input.
 Every ODE here (integrate_pulse, pulse_propagator and the detuned
 two_level_oracle) is one storage <-> levels Coupling, and goes through
 one stepper, solve_ivp: the Dormand-Prince 5(4) pair with Shampine's
-dense output and scipy.integrate's RK45 step controller, so it takes
-scipy's steps and scipy is not needed at run time.  The ODE is linear,
-so each step is a matrix; the stepper builds the matrices of a batch
-of guessed steps in a few array operations and keeps the steps that
-the replayed controller agrees with.
+dense output, on one step grid fixed before the first step.  The pair's
+embedded error estimate accepts the grid whole, or shrinks its largest
+step and the solve starts again.  The ODE is linear, so each step is a
+matrix; the stepper builds the matrices of a batch of steps in a few
+array operations.  scipy is not needed at run time.
 """
 
 import functools
@@ -307,10 +307,12 @@ def integrate_pulse(
     support (evolution.trace_rows of the amplitudes at each sample).
 
     Integration uses the package's Dormand-Prince 5(4) stepper
-    (solve_ivp: scipy RK45's steps, each applied as a step matrix) with
-    rtol 1e-10, atol 1e-12 and a max step bounded by both the envelope
-    and the fastest detuning phase; the trace samples its dense output.
-    A failed solve or norm drift beyond 1e-8 raises RuntimeError.
+    (solve_ivp: one fixed grid whose every step passes the embedded
+    error test, each step applied as a matrix) with rtol 1e-10,
+    atol 1e-12 and a max step bounded by both the envelope and the
+    fastest detuning phase; the trace samples its dense output, and the
+    grid and the final state are the same with or without it.  A failed
+    solve, or a norm drift beyond 1e-8 or NaN, raises RuntimeError.
     """
     if state.t > pulse.t_start + 1e-9 * pulse.fwhm:
         raise ValueError(
@@ -333,7 +335,7 @@ def integrate_pulse(
     out.b_energy = yf[1:]
     out.t = pulse.t_end
     drift = abs(out.norm() - norm_in)
-    if drift > NORM_TOLERANCE:
+    if not drift <= NORM_TOLERANCE:         # True for NaN too
         raise RuntimeError(f"norm drifted by {drift:.3e} during pulse integration")
 
     if n_trace <= 0:
@@ -347,9 +349,10 @@ def integrate_pulse(
 
 def _solve_pulse(pulse: PulseSpec, omega: np.ndarray, deltas: np.ndarray, y0: np.ndarray,
                  dense_output: bool = False):
-    """RK45 over the pulse support of the coupling with Rabi frequencies
-    omega on levels detuned by deltas, max step bounded by the envelope
-    and the fastest detuning phase."""
+    """solve_ivp over the pulse support of the coupling with Rabi
+    frequencies omega on levels detuned by deltas, max step bounded by the
+    envelope and the fastest detuning phase; a failed solve raises
+    RuntimeError."""
     ph = np.exp(1j * pulse.phase)
     coupling = Coupling(rate=-4.0 * LN2 / pulse.fwhm**2, center=pulse.center_time,
                         w_in=0.5j * ph * omega, w_out=0.5j * np.conj(ph) * omega,
@@ -395,7 +398,7 @@ def _derivative(cp: Coupling, t: float, y: np.ndarray) -> np.ndarray:
 
 # Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)) with
 # Shampine's quartic dense output (Math. Comp. 46, 135 (1986)): the
-# tableau, step controller and interpolant of scipy.integrate's RK45.
+# tableau and interpolant of scipy.integrate's RK45.
 # The first-same-as-last stage is the seventh row of the tableau (its
 # weights are the solution weights), so a step has seven stages at
 # times t + c_i h, the last two both at t + h.
@@ -428,10 +431,13 @@ _KAPPA0[6, 6] = 1.0
 _SIGMA0 = np.zeros((7, 7))
 _SIGMA0[:, 0] = 1.0
 _A_KAPPA0 = _A @ _KAPPA0
+# scipy RK45's step controller: its step growth (x10 at most) sets the
+# grid's ramp, its factor for a failed step shrinks the grid's cap
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5        # -1 / (order of the error estimate + 1)
-_BATCH_START, _BATCH_MIN, _BATCH_MAX = 16, 2, 256    # steps per batch
+_BATCH = 256                    # steps per batch of step matrices
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_NOT_FINITE = "The error estimate is not finite."
 
 
 def _rms(x: np.ndarray) -> float:
@@ -460,30 +466,17 @@ def _initial_step(cp, t0, y0, t_bound, max_step, rtol, atol) -> float:
     return min(100 * h0, h1, interval, max_step)
 
 
-def _start_step(h_abs: float, t: float, max_step: float) -> float:
-    """The step size a step from t starts with, given the proposed one:
-    at least ten ulps of t, at most max_step."""
-    return min(max(h_abs, 10 * abs(math.nextafter(t, math.inf) - t)), max_step)
-
-
-def _guess_grid(t, h_abs, t_bound, max_step, size):
-    """The times the controller reaches in up to `size` steps from t, and
-    the step size each step starts with, if every step is accepted and
-    the next one grows by the largest factor, x10, up to max_step."""
-    ts, starts = [t], [h_abs]
-    while len(ts) <= size and t < t_bound and h_abs < max_step:
-        t_old, t = t, min(t + h_abs, t_bound)
+def _grid(t0: float, t1: float, h0: float, cap: float) -> np.ndarray:
+    """Step times from t0 to t1: a first step of h0 (at least ten ulps
+    of t0), each next step ten times the last up to cap, then steps of
+    cap summed in order, the last one cut at t1."""
+    ts, t = [t0], t0
+    h = min(max(h0, 10 * abs(math.nextafter(t0, math.inf) - t0)), cap)
+    while t < t1:
+        t_old, t = t, min(t + h, t1)
         ts.append(t)
-        h_abs = _start_step((t - t_old) * _MAX_FACTOR, t, max_step)
-        starts.append(h_abs)
-    if len(ts) <= size and t < t_bound:
-        # steps of max_step, summed in order as the controller sums them
-        tail = np.add.accumulate(np.r_[t, np.full(size + 1 - len(ts), max_step)])
-        tail = np.minimum(tail[1:], t_bound)
-        tail = tail[:np.searchsorted(tail, t_bound) + 1].tolist()
-        ts += tail
-        starts += [max_step] * len(tail)
-    return ts, starts
+        h = min((t - t_old) * _MAX_FACTOR, cap)
+    return np.array(ts)
 
 
 def _step_operators(cp: Coupling, t: np.ndarray, h: np.ndarray):
@@ -532,89 +525,72 @@ def _dense_coefficients(parts, y: np.ndarray) -> np.ndarray:
 
 
 def solve_ivp(coupling: Coupling, t_span, y0, rtol, atol, max_step, dense_output=False):
-    """Integrate the coupling's ODE over t_span = (t0, t1), t1 > t0, with RK45.
+    """Integrate the coupling's ODE over t_span = (t0, t1), t1 > t0, with
+    the Dormand-Prince 5(4) pair on one step grid fixed in advance.
 
     y0 is a state vector (m + 1,) or a matrix (m + 1, c) whose columns
     are integrated together (the identity gives the propagator).  The
-    initial step, RMS error norm (over all entries of y), step
-    controller (a step after a rejection may not grow) and dense output
-    are those of scipy.integrate.solve_ivp(method="RK45"), so the steps
-    and rhs-call count are scipy's on the same ODE; where the error
-    controller sets a step size, step times can differ from scipy's in
-    rounding.  Steps are taken in batches: the stepper guesses the grid
-    the controller takes if every step is accepted and grows at the
-    largest rate, builds every step's matrix in a few array operations,
-    carries the state through them, and then replays the controller on
-    the batch's error norms, keeping the steps up to its first
-    disagreement (a rejection or a different next step size).  A zero,
-    NaN or too small step size ends the run with success False.
-    Returns a namespace with t (accepted times), y (y0.shape + (len(t),)),
-    nfev (the rhs calls of an RK45 solver), success, message and sol:
-    with dense_output (vector y0 only), a callable giving y at a 1-D
-    array of times (shape (m + 1, len(times))), else None.
+    grid starts with scipy RK45's initial step for y0, grows each step
+    x10 up to a cap, min(max_step, t1 - t0), then takes steps of the cap
+    (see _grid).  Every step is applied as a matrix, built in batches.
+    The grid is accepted whole if every step's RMS error norm (over all
+    entries of y, scaled by atol + rtol |y| as scipy's RK45 scales it)
+    is below 1; otherwise the cap shrinks by the RK45 controller's factor
+    for the worst step and the solve starts again.  A zero, NaN or too
+    small step, or an error norm that is NaN or infinite, ends the run
+    with success False, t = [t0] and y = y0.
+    Returns a namespace with t (the grid), y (y0.shape + (len(t),)),
+    nfev (6 per step taken, accepted or not, plus 2 for the initial
+    step), success, message and sol: with dense_output (vector y0 only),
+    Shampine's interpolant as a callable giving y at a 1-D array of times
+    (shape (m + 1, len(times))), else None.
     """
-    t, t_bound = float(t_span[0]), float(t_span[1])
-    if not t_bound > t:
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
         raise ValueError(f"t_span must be increasing, got {t_span}")
-    y = np.asarray(y0, dtype=complex)
-    if dense_output and y.ndim != 1:
+    y0 = np.asarray(y0, dtype=complex)
+    if dense_output and y0.ndim != 1:
         raise ValueError("dense output needs a state vector")
-    h_abs = _initial_step(coupling, t, y, t_bound, max_step, rtol, atol)
-    nfev = 2
-    ts, ys, Qs = [np.array([t])], [y[None]], []
-    rejected, size = False, _BATCH_START
-    message = None if h_abs > 0 else _TOO_SMALL_STEP
-    while message is None and t < t_bound:
-        if not rejected:
-            h_abs = _start_step(h_abs, t, max_step)
-        if not h_abs >= 10 * abs(math.nextafter(t, math.inf) - t):     # False for NaN too
-            message = _TOO_SMALL_STEP
-            break
-        grid, starts = _guess_grid(t, h_abs, t_bound, max_step, size)
-        hs = np.diff(grid)
-        N = len(hs)
-        M, err_ops, parts = _step_operators(coupling, np.array(grid[:-1]), hs)
-        yb = np.empty((N + 1,) + y.shape, dtype=complex)
-        yb[0] = y
-        for Mk, yk, yk1 in zip(M, yb, yb[1:]):
-            np.dot(Mk, yk, out=yk1)
-        Yb, abs_Y = yb.reshape(N + 1, y.shape[0], -1), np.abs(yb).reshape(N + 1, y.shape[0], -1)
-        errs = ((err_ops @ Yb[:-1]) / (atol + np.maximum(abs_Y[:-1], abs_Y[1:]) * rtol)
-                ).reshape(N, -1).view(float)
-        norms = np.sqrt(np.einsum("ki,ki->k", errs, errs) / y.size)
-        # replay the controller; steps 0 .. kept-1 are accepted
-        kept = 0
-        for h, error_norm in zip(hs.tolist(), norms.tolist()):
-            nfev += 6
-            if not error_norm < 1:
-                h_abs = h * max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-                rejected = True
-                break
-            if error_norm == 0:
-                factor = _MAX_FACTOR
-            else:
-                factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            h_abs = h * (min(1, factor) if rejected else factor)
-            rejected = False
-            kept += 1
-            if kept < N and _start_step(h_abs, grid[kept], max_step) != starts[kept]:
-                break
-        size = min(2 * size, _BATCH_MAX) if kept == N else _BATCH_MIN
-        if kept:
-            ts.append(grid[1:kept + 1])
-            ys.append(yb[1:kept + 1])
+    h0 = _initial_step(coupling, t0, y0, t1, max_step, rtol, atol)
+    cap, nfev = min(max_step, t1 - t0), 2
+    message = _TOO_SMALL_STEP
+    while h0 > 0 and cap >= 10 * math.ulp(max(abs(t0), abs(t1))):     # False for NaN too
+        ts = _grid(t0, t1, h0, cap)
+        ys = np.empty((len(ts),) + y0.shape, dtype=complex)
+        ys[0] = y0
+        Qs, worst = [], 0.0
+        for k in range(0, len(ts) - 1, _BATCH):
+            edges = ts[k:k + _BATCH + 1]
+            N = len(edges) - 1
+            M, err_ops, parts = _step_operators(coupling, edges[:-1], np.diff(edges))
+            yb = ys[k:k + N + 1]
+            for Mk, yk, yk1 in zip(M, yb, yb[1:]):
+                np.dot(Mk, yk, out=yk1)
+            Y = yb.reshape(N + 1, len(y0), -1)
+            abs_Y = np.abs(Y)
+            errs = ((err_ops @ Y[:-1]) / (atol + np.maximum(abs_Y[:-1], abs_Y[1:]) * rtol)
+                    ).reshape(N, -1).view(float)
+            # the largest squared error norm so far; np.maximum keeps a NaN
+            worst = np.maximum(worst, np.max(np.einsum("ki,ki->k", errs, errs)))
             if dense_output:
-                Qs.append(_dense_coefficients([p[:kept] for p in parts], yb[:kept]))
-            t, y = grid[kept], yb[kept]
-    ts, ys = np.concatenate(ts), np.concatenate(ys)
-    return SimpleNamespace(
-        t=ts, y=np.moveaxis(ys, 0, -1), nfev=nfev, success=message is None,
-        message=message or "The solver successfully reached the end of the integration interval.",
-        sol=_DenseSolution(ts, ys, np.concatenate(Qs)) if dense_output and Qs else None)
+                Qs.append(_dense_coefficients(parts, yb[:-1]))
+        nfev += 6 * (len(ts) - 1)
+        worst = math.sqrt(worst / y0.size)
+        if worst < 1:
+            return SimpleNamespace(
+                t=ts, y=np.moveaxis(ys, 0, -1), nfev=nfev, success=True,
+                message="The solver successfully reached the end of the integration interval.",
+                sol=_DenseSolution(ts, ys, np.concatenate(Qs)) if dense_output else None)
+        if not math.isfinite(worst):
+            message = _NOT_FINITE
+            break
+        cap *= max(_MIN_FACTOR, _SAFETY * worst ** _ERROR_EXPONENT)
+    return SimpleNamespace(t=np.array([t0]), y=y0[..., None], nfev=nfev, success=False,
+                           message=message, sol=None)
 
 
 class _DenseSolution:
-    """Shampine's quartic interpolant on each accepted step."""
+    """Shampine's quartic interpolant on each step of the grid."""
 
     def __init__(self, ts, ys, Qs):
         self.ts, self.ys, self.Qs = ts, ys, Qs
@@ -637,10 +613,11 @@ def pulse_propagator(spec: ManifoldSpec, pulse: PulseSpec, mode: str = "exact") 
     same U0 serves either storage level at any centre and phase (see
     the module docstring for the conjugation).  U0 comes from one
     solve_ivp run with integrate_pulse's settings that carries the
-    identity matrix through the step matrices (the same steps as a
-    state vector would take, the error norm taken over all its
-    entries), is rejected unless max|U0^dagger U0 - 1| <= 1e-8, and is
-    kept in a bounded process-wide cache.  The returned array is
+    identity matrix through the step matrices (its initial step and
+    error norms are taken over all the matrix's entries, so its grid is
+    its own, not the grid a state vector would take), is rejected unless
+    max|U0^dagger U0 - 1| <= 1e-8, and is kept in a bounded process-wide
+    cache.  The returned array is
     read-only.
     """
     return _propagator(spec, mode, pulse.fwhm, pulse.peak_rabi, pulse.carrier_detuning)[0]
