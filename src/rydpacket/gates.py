@@ -39,8 +39,13 @@ operator; it saves the building, checking, writing and freeing of the
 repeats.
 
 schedule_operator folds a whole schedule into one (d+2) x (d+2)
-operator over (g, e, levels), and run_program and process_fidelity
-apply it to one state or to the stacked probe set.  run_program is the
+operator over (g, e, levels), and run_program applies it to one state.
+The fold itself (_fold) keeps the operator's rows and columns in
+(g, levels, e) order, so that each pulse acts on one contiguous view;
+schedule_operator makes the one permutation to (g, e, levels) as it
+returns, and process_fidelity makes none: it reads the level block,
+the same entries in the same order either way, from the fold's operator
+and applies it to the stacked probe set.  run_program is the
 one executor for timed programs: a list of waits, single pulses and
 gate schedules run in order on a state's clock, optionally sampled
 into one trace of evolution.trace_rows.  Declarative configs and the
@@ -50,9 +55,10 @@ in both pulse models every pulse is one (d+1) x (d+1) kernel K
 conjugated by its pulse frame Q = diag(1, e^{i phi} e^{-i w t_c}):
 the cached full-model propagator of the shape (one matrix solve per
 distinct shape, shared across schedules), or the ideal storage <->
-core-slot swap at t = 0.  schedule_operator builds every pulse's frame
-in one array operation, folds each run of storage pulses into one
-2 x 2, and then costs one small matrix product per pulse.
+core-slot swap at t = 0.  The fold builds every pulse's frame in one
+array operation, folds each run of storage pulses into one 2 x 2, and
+then costs one small matrix product per pulse and per storage run
+(np.dot: the zgemm that matmul calls, with less dispatch per call).
 
 A two-level factor touches two rows, so decompose_unitary and
 compose_ops update a matrix by one 2 x 2 BLAS product on the strided
@@ -135,10 +141,18 @@ def _unitary(U, d: int) -> np.ndarray:
               and abs((c * c.conjugate() + e * e.conjugate()).real - 1.0) <= tol
               and abs(a * c.conjugate() + b * e.conjugate()) <= tol)
     else:
-        ok = np.max(np.abs(U @ U.conj().T - np.eye(d))) <= UNITARITY_TOL
+        ok = np.abs(U @ U.conj().T - _identity(d)).max() <= UNITARITY_TOL
     if not ok:
         raise ValueError("matrix is not unitary within 1e-9")
     return U
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _identity(n: int) -> np.ndarray:
+    """The complex n x n identity; read-only."""
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
@@ -419,7 +433,7 @@ class GateSchedule:
         A Wait advances the clock by its duration; a manifold pulse is
         centred one support half-width after the clock and ends one
         half-width after its centre."""
-        half = PulseSpec(fwhm=self.pulse_fwhm, peak_rabi=1.0).half_width
+        half = _half_width(self.pulse_fwhm)
         centers: list[float] = []
         t = 0.0
         for p in self.primitives:
@@ -435,6 +449,13 @@ class GateSchedule:
 
     def manifold_pulse_count(self) -> int:
         return sum(isinstance(p, ManifoldPiPulse) for p in self.primitives)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _half_width(fwhm: float) -> float:
+    """PulseSpec.half_width of a pulse of this FWHM, which PulseSpec
+    checks (ValueError unless positive and finite); once per FWHM."""
+    return float(PulseSpec(fwhm=fwhm, peak_rabi=1.0).half_width)
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +714,8 @@ def compile_unitary(
     ts = time_scales(spec)
     if pulse_fwhm is None:
         pulse_fwhm = DEFAULT_GATE_FWHM_FACTOR * ts.t_kepler / d
+    else:       # the range schedule_from_json accepts
+        check_input_fwhm(spec, pulse_fwhm)
     sched = GateSchedule(
         nbar=spec.nbar, d=d, pulse_fwhm=pulse_fwhm,
         peak_rabi=_pi_peak_rabi(spec, pulse_fwhm),
@@ -746,34 +769,46 @@ def schedule_operator(
     Either kernel is cached in both orientations it acts in (its storage
     row and column first for a pulse on g, last for one on e): U0 in
     the propagator's cache entry, the swap once per d.
+
+    The fold keeps M's rows and columns in (g, levels, e) order; this
+    function makes the one permutation to (g, e, levels) on the way out.
     """
+    M, t_end = _fold(schedule, mode, pulses)
+    return M.take(_output_order(schedule.d)), t_end
+
+
+def _fold(schedule: GateSchedule, mode: str, pulses: str) -> tuple[np.ndarray, float]:
+    """schedule_operator's M in the fold's own (g, levels, e) order, and
+    t_end.  The level block M[1:-1, 1:-1] holds the entries of the public
+    M[2:, 2:] in the same order."""
     if pulses not in ("full", "ideal"):
         raise ValueError(f"pulses must be 'full' or 'ideal', got {pulses!r}")
     spec = schedule.spec
     d = spec.d
     w = detunings(spec, mode)
     centers, t_end = schedule.clock()
-    M = np.eye(d + 2, dtype=complex)
+    M = _identity(d + 2).copy()
     # M's rows are kept in (g, levels, e) order, so that a pulse on g acts
     # on the view M[:-1], one on e on M[1:] (with K's storage row last)
     # and a storage pulse on M[::d + 1]
     views = {"g": M[:-1], "e": M[1:]}
     storage = M[::d + 1]
-    steps = []          # (view, index into P or into runs) in schedule order
+    steps = []          # the view each factor acts on, in schedule order
     manifold, runs = [], []
     for prim in schedule.primitives:
         if isinstance(prim, ManifoldPiPulse):
-            steps.append((views[prim.target], len(manifold)))
+            steps.append(views[prim.target])
             manifold.append(prim)
         elif isinstance(prim, StoragePulse):
             # a run of storage pulses folds into one 2 x 2
-            if steps and steps[-1][0] is storage:
+            if steps and steps[-1] is storage:
                 runs[-1] = _product2(prim._entries(), runs[-1])
             else:
-                steps.append((storage, len(runs)))
+                steps.append(storage)
                 runs.append(prim._entries())
         elif not isinstance(prim, Wait):
             raise TypeError(f"unknown primitive {prim!r}")
+    pulse_factors = iter(())
     if manifold:
         if pulses == "ideal":
             kernels = _swap_kernels(d)
@@ -789,10 +824,13 @@ def schedule_operator(
         P = kernels.take(on_e.astype(int), axis=0)
         P *= q.conj()[:, :, None]
         P *= q[:, None, :]
-    S = np.array(runs, dtype=complex).reshape(-1, 2, 2)
-    for view, i in steps:
-        view[...] = (S[i] if view is storage else P[i]) @ view
-    return M.take(_output_order(d)), t_end
+        pulse_factors = iter(P)
+    # the pulses' and the storage runs' factors, each in schedule order
+    storage_factors = iter(np.array(runs, dtype=complex).reshape(-1, 2, 2))
+    for view in steps:
+        K = next(storage_factors) if view is storage else next(pulse_factors)
+        view[...] = np.dot(K, view)
+    return M, t_end
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -957,17 +995,21 @@ def process_fidelity(
     Mean of |<U psi, simulated psi>|^2 over the deterministic probe set.
     An empty schedule against the identity gives exactly 1.  A target
     that is not a d x d unitary (within 1e-9) raises ValueError.
+
+    The probes start with empty storage, so only the operator's level
+    block acts.  It is read from the fold's operator (_fold) directly,
+    where the same entries sit in the same order as in
+    schedule_operator's M[2:, 2:], so no output permutation is made.
     """
     spec = schedule.spec
     U = _unitary(U_target, spec.d)
-    M, t_end = schedule_operator(schedule, mode, pulses)
+    M, t_end = _fold(schedule, mode, pulses)
     F = energy_to_packet_matrix(spec.d)
     probes, probes_energy = _probe_matrices(spec)
-    # probes start with empty storage, so only the level block of M acts
-    b = M[2:, 2:] @ probes_energy
+    b = M[1:-1, 1:-1] @ probes_energy
     out = F @ (np.exp(-1j * detunings(spec, mode) * t_end)[:, None] * b)
-    fids = np.abs(np.sum((U @ probes).conj() * out, axis=0)) ** 2
-    return float(np.mean(fids))
+    fids = np.abs(((U @ probes).conj() * out).sum(0)) ** 2
+    return float(fids.mean())
 
 
 def random_two_level_unitary(spec: ManifoldSpec, seed: int) -> np.ndarray:

@@ -54,8 +54,16 @@ from rydpacket.scenarios import haar_unitary
 WAIT_ONE_PERIOD_FID_D8 = 0.9333572219416217    # Wait(t_kepler) vs identity, d = 8
 WAIT_REVIVAL_FID_D4 = 0.9739029028426681       # Wait(t_revival) vs identity, d = 4
 TWO_LEVEL_D4_FULL_FID = 0.9761740789170084     # compiled seed-7 block, d = 4
+# The three SHA-256 tables below were taken under OpenBLAS's SkylakeX
+# kernels (OPENBLAS_VERBOSE=2 prints "Core: SkylakeX").  Their inputs
+# (a LAPACK QR), the compile (zgemm row updates, a LAPACK det) and the
+# fold (a zgemm per pulse) round as the BLAS kernel does, so the digests
+# hold on that kernel only: under OPENBLAS_CORETYPE=Haswell 18 tests of
+# this file fail, and 19 under Nehalem, every one a digest test.  The
+# fidelities and every other frozen value pass under all three.
+#
 # SHA-256 of schedule_to_json(compile_unitary(_haar(d, d))) at nbar = 180,
-# as json.dumps(doc, indent=2) wrote it
+# as json.dumps(doc, indent=2) wrote it (SkylakeX kernels)
 SCHEDULE_JSON_SHA256 = {
     2: "309ad9e2477971595bbe8512cd0fd765b89ab7dff354748b23fe876d6824506b",
     4: "f9bb08f2f32a40e17f1295ad913bebb35780fc46015963168ca6a68a4c1fcc11",
@@ -64,6 +72,7 @@ SCHEDULE_JSON_SHA256 = {
 }
 # SHA-256 over (k, k2, u2 bytes) of every factor of decompose_unitary at
 # nbar = 180, for _haar(d, d) and random_two_level_unitary(spec, d)
+# (SkylakeX kernels)
 FACTOR_SHA256 = {
     ("haar", 2): "3005c305cb416712c7f06bbc4449945b554024348eab7bd6b55c2a9f2afb2b49",
     ("haar", 3): "95fa28ccea1246ffc3e83d6fbc8c72194e000ca877e62476110c0af7d7a97e3d",
@@ -75,6 +84,7 @@ FACTOR_SHA256 = {
 }
 # SHA-256 over M.tobytes(), then t_end as float64 bytes, of
 # schedule_operator(compile_unitary(_haar(d, d)), mode, pulses) at nbar = 180
+# (SkylakeX kernels)
 SCHEDULE_OPERATOR_SHA256 = {
     ("taylor1", "ideal", 2): "0600a495a5bbb344fd51812fa43d47be22353b37ff91e4ad5896e34d44e6bb3a",
     ("taylor1", "ideal", 4): "20dd41b45d984cf92c04745778912aba0e2b8927e81d3ee796accb966f9ec950",
@@ -686,6 +696,34 @@ def test_shift_targets_compile_to_free_flight():
         assert abs(out.b_g) ** 2 + abs(out.b_e) ** 2 == 0.0
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_compile_unitary_takes_the_fwhm_range_schedule_json_takes(d):
+    # a FWHM that schedule_from_json would refuse is refused when
+    # compiling; the two ends of the range compile and round-trip
+    spec = _spec(d)
+    t_kepler = time_scales(spec).t_kepler
+    U = _haar(d, 30 + d)
+    lo, hi = FWHM_RANGE_KEPLER
+    for fwhm in (1e-300, 1e-9 * t_kepler, 20.0 * t_kepler):
+        with pytest.raises(ValueError, match="outside 1e-06 .. 10 t_kepler"):
+            compile_unitary(U, spec, fwhm)
+    for fwhm in (lo * t_kepler, hi * t_kepler):
+        text = schedule_to_json(compile_unitary(U, spec, fwhm))
+        assert schedule_to_json(schedule_from_json(text)) == text
+
+
+@pytest.mark.parametrize("fwhm", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_schedule_clock_checks_the_pulse_fwhm(fwhm):
+    # the clock reads the half-width through a per-FWHM cache, which
+    # keeps PulseSpec's check of the FWHM
+    good = GateSchedule(nbar=180, d=4, pulse_fwhm=2.5e5, peak_rabi=1.0,
+                        primitives=[ManifoldPiPulse(0, "g")])
+    assert good.duration() == 2.0 * PulseSpec(fwhm=2.5e5, peak_rabi=1.0).half_width
+    for _ in range(2):
+        with pytest.raises(ValueError, match="pulse FWHM must be positive and finite"):
+            replace(good, pulse_fwhm=fwhm).clock()
+
+
 def test_empty_schedule_identity_fidelity():
     spec = _spec(4)
     sched = compile_unitary(np.eye(4), spec)
@@ -1079,7 +1117,8 @@ def test_run_program_rejects_bad_items():
 
 _CACHES = (basis_mod._dft_matrix, manifold_mod._time_scales, manifold_mod._detunings,
            gates_mod._probe_matrices, gates_mod._swap_kernels, gates_mod._output_order,
-           gates_mod._pi_peak_rabi, pulse_mod._propagator)
+           gates_mod._identity, gates_mod._half_width, gates_mod._pi_peak_rabi,
+           pulse_mod._propagator)
 
 
 def _clear_caches():
@@ -1121,8 +1160,10 @@ def test_kernels_and_output_order_are_cached_and_read_only(d):
     U0, kernels = pulse_mod._propagator(spec, "exact", fwhm, rabi, 0.0)
     swap = gates_mod._swap_kernels(d)
     order = gates_mod._output_order(d)
-    for a in (U0, kernels, swap, order):
+    eye = gates_mod._identity(d + 2)
+    for a in (U0, kernels, swap, order, eye):
         _assert_read_only(a)
+    assert gates_mod._identity(d + 2) is eye and np.array_equal(eye, np.eye(d + 2))
     assert pulse_mod.pulse_propagator(spec, PulseSpec(fwhm=fwhm, peak_rabi=rabi)) is U0
     assert gates_mod._swap_kernels(d) is swap and gates_mod._output_order(d) is order
     # each kernel in both orientations: the storage row and column first, then last
@@ -1199,16 +1240,74 @@ def test_cached_constants_leave_operator_and_fidelity_bit_equal(mode, pulses):
         assert f_cold == _fidelity_formula(M, t_end, spec, U, mode)
 
 
+def _public_operator_fidelity(schedule, U, mode, pulses):
+    """The reference probe average: process_fidelity's formula on
+    schedule_operator's public M, whose level block M[2:, 2:] is a
+    contiguous copy."""
+    spec = schedule.spec
+    M, t_end = schedule_operator(schedule, mode, pulses)
+    F = energy_to_packet_matrix(spec.d)
+    probes, probes_energy = gates_mod._probe_matrices(spec)
+    b = M[2:, 2:] @ probes_energy
+    out = F @ (np.exp(-1j * detunings(spec, mode) * t_end)[:, None] * b)
+    fids = np.abs(np.sum((U @ probes).conj() * out, axis=0)) ** 2
+    return float(np.mean(fids))
+
+
+@pytest.mark.parametrize("mode, pulses", [("exact", "full"), ("taylor1", "ideal")])
+def test_process_fidelity_is_the_public_operators_probe_average(mode, pulses):
+    # process_fidelity reads the level block in the fold's own row order:
+    # bit for bit the average over the public operator, on compiled Haar
+    # and two-level targets, as compiled and as parsed back from JSON
+    rng = np.random.default_rng(24)
+    cases = [("haar", d) for d in (2, 3, 4, 8)] + [("two_level", d) for d in (4, 8)]
+    for kind, d in cases:
+        for _ in range(2):
+            spec = ManifoldSpec(nbar=int(rng.choice([176, 180, 184])), d=d)
+            U = (haar_unitary(d, rng) if kind == "haar"
+                 else random_two_level_unitary(spec, int(rng.integers(1000))))
+            sched = compile_unitary(U, spec)
+            for s in (sched, schedule_from_json(schedule_to_json(sched))):
+                assert (process_fidelity(s, U, mode, pulses)
+                        == _public_operator_fidelity(s, U, mode, pulses))
+
+
 # What err carries besides s, in units of machine epsilon: up to 8 from
 # the Haar U's own U U^dagger - 1 (QR and the phase fix; the largest in
 # 3e4 seeds), and about 5 from rounding the scaling V = sqrt(1 +- s) U
-# and the 2-term complex dot products of V V^dagger.
+# and the 2-term complex dot products of V V^dagger.  For d = 3, 4 and 8
+# the whole excess stays below 8 (the largest in 3e3 seeds per d).
 _SCALED_ERR_ROUNDING = 16 * np.finfo(float).eps
 
 
 def _numpy_unitarity_error(V):
-    """The d x d check's measure: max |V V^dagger - 1|."""
-    return float(np.max(np.abs(V @ V.conj().T - np.eye(2))))
+    """The reference measure of the d x d check: max |V V^dagger - 1|,
+    with numpy's own identity and reductions."""
+    return float(np.max(np.abs(V @ V.conj().T - np.eye(len(V)))))
+
+
+def _perturbed_unitary(d, seed, s, kind):
+    """A Haar U(d) perturbed by s: (1 +- s) U U^dagger for the scalings,
+    one random direction of size s otherwise."""
+    rng = np.random.default_rng(seed)
+    U = haar_unitary(d, rng)
+    if kind == "scale":
+        return math.sqrt(1.0 + s) * U
+    if kind == "shrink":
+        return math.sqrt(1.0 - s) * U
+    Z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return U + s * Z / np.max(np.abs(Z))
+
+
+def _accepts(V):
+    """Whether _unitary(V, len(V)) lets V through; it names the tolerance
+    when it does not."""
+    try:
+        gates_mod._unitary(V, len(V))
+    except ValueError as e:
+        assert str(e) == "matrix is not unitary within 1e-9"
+        return False
+    return True
 
 
 @settings(max_examples=200, deadline=None)
@@ -1220,25 +1319,10 @@ def _numpy_unitarity_error(V):
 @example(seed=1, log_size=math.log10(2e-9), kind="shrink")
 @example(seed=8118, log_size=-10.0, kind="shrink")     # |err - s| is 6 ulp of 1 here
 def test_unitary_2x2_scalar_check_matches_numpy(seed, log_size, kind):
-    # a unitary perturbed by s: (1 +- s) U U^dagger for the scalings, one
-    # random direction of size s otherwise
-    rng = np.random.default_rng(seed)
-    U = haar_unitary(2, rng)
     s = 10.0 ** log_size
-    if kind == "scale":
-        V = math.sqrt(1.0 + s) * U
-    elif kind == "shrink":
-        V = math.sqrt(1.0 - s) * U
-    else:
-        Z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        V = U + s * Z / np.max(np.abs(Z))
+    V = _perturbed_unitary(2, seed, s, kind)
     err = _numpy_unitarity_error(V)
-    try:
-        gates_mod._unitary(V, 2)
-        accepted = True
-    except ValueError as e:
-        assert str(e) == "matrix is not unitary within 1e-9"
-        accepted = False
+    accepted = _accepts(V)
     if err <= 0.5e-9:
         assert accepted
     if err >= 2e-9:
@@ -1249,8 +1333,30 @@ def test_unitary_2x2_scalar_check_matches_numpy(seed, log_size, kind):
         assert abs(err - s) <= _SCALED_ERR_ROUNDING + 1e-6 * s
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
-                                 complex(0.0, math.inf), 1.5e308 * (1 + 1j)])
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([3, 4, 8]), seed=st.integers(0, 2**32 - 1),
+       log_size=st.floats(-13.0, -6.0), kind=st.sampled_from(["scale", "shrink", "random"]))
+@example(d=3, seed=0, log_size=math.log10(0.5e-9), kind="scale")
+@example(d=4, seed=0, log_size=math.log10(2e-9), kind="scale")
+@example(d=8, seed=1, log_size=math.log10(0.5e-9), kind="shrink")
+@example(d=8, seed=1, log_size=math.log10(2e-9), kind="shrink")
+@example(d=4, seed=2, log_size=-9.0, kind="scale")          # at the tolerance itself
+def test_unitary_dxd_check_matches_numpy(d, seed, log_size, kind):
+    # the d x d check decides as the reference measure does, on every
+    # matrix, the ones at the tolerance included
+    s = 10.0 ** log_size
+    V = _perturbed_unitary(d, seed, s, kind)
+    err = _numpy_unitarity_error(V)
+    assert _accepts(V) == (err <= 1e-9)
+    if kind != "random":          # a scaling moves the diagonal of U U^dagger by s
+        assert abs(err - s) <= _SCALED_ERR_ROUNDING + 1e-6 * s
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
+               complex(0.0, math.inf), 1.5e308 * (1 + 1j)]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
 @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_unitary_2x2_rejects_non_finite(bad, where):
     U = np.array([[0.6, 0.8j], [0.8j, 0.6]], dtype=complex)
@@ -1260,6 +1366,22 @@ def test_unitary_2x2_rejects_non_finite(bad, where):
         gates_mod._unitary(U, 2)
     with pytest.raises(ValueError, match="not unitary within 1e-9"):
         TwoLevelOp(k=0, k2=1, u2=U)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+@pytest.mark.parametrize("where", ["first", "corner", "inner", "last"])
+@pytest.mark.parametrize("d", [3, 4, 8])
+def test_unitary_dxd_rejects_non_finite(d, where, bad):
+    # one bad entry of a unitary: the entry itself, or its overflow in
+    # U U^dagger, must fail the check.  The product warns of the inf and
+    # NaN it makes (an error under this suite's filter), so only the
+    # decision is tested here.
+    U = energy_to_packet_matrix(d).copy()
+    gates_mod._unitary(U, d)
+    U[{"first": (0, 0), "corner": (0, d - 1), "inner": (d // 2, 1),
+       "last": (d - 1, d - 1)}[where]] = bad
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not unitary within 1e-9"):
+        gates_mod._unitary(U, d)
 
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (1, 2), (2, 1), (2, 3), (3, 3), (1, 2, 2), ()])
