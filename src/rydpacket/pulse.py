@@ -33,10 +33,16 @@ c_s = b_s and c_j = e^{i phi} e^{-i Delta_j t_c} b_j, the c amplitudes
 obey the same equations for the pulse centred at t = 0 with phi = 0.
 So a pulse acts on (b_s, b_j) as Q^-1 U0 Q, with
 Q = diag(1, e^{i phi} e^{-i Delta_j t_c}) and U0 the propagator of the
-pulse shape alone.  pulse_propagator builds U0 with one matrix solve
-and caches it, so every pulse of one shape, at any centre and phase,
-costs a (d+1) x (d+1) product; integrate_pulse integrates one state
-through one pulse on the absolute clock and stays the reference route.
+pulse shape alone.  The shape also has time-reversal symmetry: with
+t_c = 0, phi = 0, real Omega_j and Delta_j and an envelope even about
+t = 0, the generator A(t) of y' = A y obeys A(-t) = A(t)^T, so
+U(-t, 0) = U(t, 0)^-T and, with X = U(0, -T) the propagator from the
+support start to the centre, U0 = U(T, -T) = U(T, 0) U(0, -T) = X^T X,
+a symmetric matrix.  pulse_propagator builds U0 with one matrix solve
+over the first half of the support and caches it, so every pulse of
+one shape, at any centre and phase, costs a (d+1) x (d+1) product;
+integrate_pulse integrates one state through one pulse on the absolute
+clock and stays the reference route.
 gates.run_program drives single pulses (PulseSpec items) through
 integrate_pulse and compiled schedules through the cached U0; a traced
 integrate_pulse samples its dense output into evolution.trace_rows.
@@ -348,17 +354,18 @@ def integrate_pulse(
 
 
 def _solve_pulse(pulse: PulseSpec, omega: np.ndarray, deltas: np.ndarray, y0: np.ndarray,
-                 dense_output: bool = False):
-    """solve_ivp over the pulse support of the coupling with Rabi
-    frequencies omega on levels detuned by deltas, max step bounded by the
-    envelope and the fastest detuning phase; a failed solve raises
-    RuntimeError."""
+                 dense_output: bool = False, t_stop: float | None = None):
+    """solve_ivp from the pulse support start to t_stop (default: the
+    support end) of the coupling with Rabi frequencies omega on levels
+    detuned by deltas, max step bounded by the envelope and the fastest
+    detuning phase; a failed solve raises RuntimeError."""
     ph = np.exp(1j * pulse.phase)
     coupling = Coupling(rate=-4.0 * LN2 / pulse.fwhm**2, center=pulse.center_time,
                         w_in=0.5j * ph * omega, w_out=0.5j * np.conj(ph) * omega,
                         deltas=deltas)
     max_step = min(pulse.fwhm / 50.0, TWO_PI / (10.0 * float(np.max(np.abs(deltas)))))
-    sol = solve_ivp(coupling, (pulse.t_start, pulse.t_end), y0, rtol=1e-10, atol=1e-12,
+    t_stop = pulse.t_end if t_stop is None else t_stop
+    sol = solve_ivp(coupling, (pulse.t_start, t_stop), y0, rtol=1e-10, atol=1e-12,
                     max_step=max_step, dense_output=dense_output)
     if not sol.success:
         raise RuntimeError(f"pulse integration failed: {sol.message}")
@@ -611,14 +618,16 @@ def pulse_propagator(spec: ManifoldSpec, pulse: PulseSpec, mode: str = "exact") 
     Only the shape matters (fwhm, peak Rabi frequency, carrier
     detuning): center_time, phase and target are ignored, since the
     same U0 serves either storage level at any centre and phase (see
-    the module docstring for the conjugation).  U0 comes from one
-    solve_ivp run with integrate_pulse's settings that carries the
-    identity matrix through the step matrices (its initial step and
-    error norms are taken over all the matrix's entries, so its grid is
-    its own, not the grid a state vector would take), is rejected unless
-    max|U0^dagger U0 - 1| <= 1e-8, and is kept in a bounded process-wide
-    cache.  The returned array is
-    read-only.
+    the module docstring for the conjugation).  U0 = X^T X, where X is
+    the propagator over the first half of the support, from -T to the
+    centre 0 (time-reversal symmetry of the shape; see the module
+    docstring): one solve_ivp run with integrate_pulse's settings that
+    carries the identity matrix through the step matrices (its initial
+    step and error norms are taken over all the matrix's entries, so its
+    grid is its own, not the grid a state vector would take; up to the
+    centre it is the grid a whole-support solve of the identity takes).
+    U0 is rejected unless max|U0^dagger U0 - 1| <= 1e-8, and is kept in
+    a bounded process-wide cache.  The returned array is read-only.
     """
     return _propagator(spec, mode, pulse.fwhm, pulse.peak_rabi, pulse.carrier_detuning)[0]
 
@@ -627,13 +636,21 @@ def pulse_propagator(spec: ManifoldSpec, pulse: PulseSpec, mode: str = "exact") 
 def _propagator(spec: ManifoldSpec, mode: str, fwhm: float, peak_rabi: float,
                 carrier_detuning: float) -> tuple[np.ndarray, np.ndarray]:
     """(U0, kernel_orientations(U0)) of the pulse shape; U0 is the
-    first entry of the second."""
+    first entry of the second.
+
+    The shape's coupling has centre 0, phase 0 (w_in = w_out), real
+    detunings and a Gaussian envelope, so A(-t) = A(t)^T and the whole
+    support's propagator is X^T X with X = U(0, -T): the solve stops at
+    the centre.  It starts at -T, not at the peak, because then its grid
+    is the whole-support grid up to the centre (a solve from the peak
+    fails the error test on its first grid and runs twice)."""
     shape = PulseSpec(fwhm=fwhm, peak_rabi=peak_rabi, carrier_detuning=carrier_detuning)
     deltas = detunings(spec, mode) + shape.carrier_detuning
     omega = rabi_profile(spec, shape.peak_rabi).omega_j
     n = spec.d + 1
-    kernels = kernel_orientations(
-        _solve_pulse(shape, omega, deltas, np.eye(n, dtype=complex)).y[..., -1])
+    X = _solve_pulse(shape, omega, deltas, np.eye(n, dtype=complex),
+                     t_stop=shape.center_time).y[..., -1]
+    kernels = kernel_orientations(X.T @ X)
     U0 = kernels[0]
     err = float(np.max(np.abs(U0.conj().T @ U0 - np.eye(n))))
     if not err <= NORM_TOLERANCE:

@@ -90,10 +90,10 @@ SCHEDULE_OPERATOR_SHA256 = {
     ("taylor1", "ideal", 4): "20dd41b45d984cf92c04745778912aba0e2b8927e81d3ee796accb966f9ec950",
     ("taylor1", "ideal", 8): "b5561ee407108fe2641a298fc5e89efe83a8a0647ef0003a3b4322ae84443265",
     ("taylor1", "ideal", 16): "8e279b3257f3cf8bd78580ffdcf5acd930923bbc1402f26b2b66525ddb1bb32b",
-    ("exact", "full", 2): "0c57b9a6b26f11a4d254ca87143d19ee34afbb89d449263f56d4f36100f5e25b",
-    ("exact", "full", 4): "799a82967eb6f84557cd5c9047cfb75dc9c67f0880fded2ad7327b59ad263bbe",
-    ("exact", "full", 8): "9e625b9088c718f9d4ad883e927c8195fa3a96c4eda2e97153be34b407eead68",
-    ("exact", "full", 16): "bd8d8f3d97677b328fc37289a9e1eb5d73f01487bcb78996b89119e7caff3368",
+    ("exact", "full", 2): "016dd148bfabd0ecbfa7dc6a2eb05df7834313bb8cf1d55422af3c96cd5cf0a1",
+    ("exact", "full", 4): "01e110f638a6e1cdc5aa0611323389581ec2b915cc8a893e587da9ca8774543c",
+    ("exact", "full", 8): "2c3ad1bcf84d339018c09dd6afdd95ed1abeb639e3360a8899f34c7e6254f5f9",
+    ("exact", "full", 16): "f2d1968b169c8cdb9b530ca0e7262b61e520507902387a0efc79a360912ba87b",
 }
 
 

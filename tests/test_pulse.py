@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rydpacket
@@ -19,6 +19,7 @@ from rydpacket.basis import packet_amplitudes_at, packet_to_energy_matrix
 from rydpacket.constants import LN2
 from rydpacket.manifold import SPECTRUM_MODES, detunings
 from rydpacket.pulse import (
+    FWHM_RANGE_KEPLER,
     Coupling,
     PulseSpec,
     _solve_pulse,
@@ -363,6 +364,79 @@ def test_pulse_propagator_is_cached_unitary_and_shape_only():
                       phase=1.1, target="e")
     assert pulse_propagator(spec, moved) is U0
     assert pulse_propagator(spec, pulse, mode="taylor1") is not U0
+
+
+def _full_support_propagator(spec, pulse, mode):
+    """U0 of the pulse shape as one solve over its whole support, the
+    identity carried from -T to T: the reference the half-support solve
+    is held to."""
+    shape = PulseSpec(fwhm=pulse.fwhm, peak_rabi=pulse.peak_rabi,
+                      carrier_detuning=pulse.carrier_detuning)
+    omega = rabi_profile(spec, shape.peak_rabi).omega_j
+    deltas = detunings(spec, mode) + shape.carrier_detuning
+    return _solve_pulse(shape, omega, deltas, np.eye(spec.d + 1, dtype=complex)).y[..., -1]
+
+
+def _assert_half_support_propagator(spec, pulse, mode):
+    # U0 = X^T X within 2e-11 of the full-support solve, and symmetric to
+    # rounding (the coupling of a shape centred at 0 obeys A(-t) = A(t)^T).
+    # The two differ by up to 1.2e-11 (d = 2, 1.2 pi, detuned -0.5 level
+    # spacings), where each is 1.5e-11 or less off DOP853 at rtol 1e-13.
+    U0 = pulse_propagator(spec, pulse, mode)
+    assert np.max(np.abs(U0 - _full_support_propagator(spec, pulse, mode))) <= 2e-11
+    assert np.max(np.abs(U0 - U0.T)) <= 4 * np.finfo(float).eps * np.max(np.abs(U0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 8),
+    mode=st.sampled_from(SPECTRUM_MODES),
+    detuning_steps=st.floats(-2.0, 2.0),
+    area_factor=st.floats(0.3, 1.2),
+)
+@example(d=2, mode="exact", detuning_steps=-0.5, area_factor=1.2)
+def test_half_support_propagator_matches_the_full_support_solve(
+        d, mode, detuning_steps, area_factor):
+    spec = ManifoldSpec(nbar=180, d=d)
+    ts = time_scales(spec)
+    fwhm = 0.25 * LN2 * ts.t_kepler / d
+    _assert_half_support_propagator(spec, PulseSpec(
+        fwhm=fwhm, peak_rabi=area_factor * pi_pulse_peak_rabi(spec, fwhm),
+        carrier_detuning=detuning_steps * 2.0 * math.pi / ts.t_kepler), mode)
+
+
+@pytest.mark.parametrize("d, fwhm_kepler", [(16, None), (8, FWHM_RANGE_KEPLER[0]),
+                                            (8, FWHM_RANGE_KEPLER[1])])
+def test_half_support_propagator_at_d16_and_the_fwhm_range_ends(d, fwhm_kepler):
+    spec = ManifoldSpec(nbar=180, d=d)
+    t_kepler = time_scales(spec).t_kepler
+    fwhm = 0.25 * LN2 * t_kepler / d if fwhm_kepler is None else fwhm_kepler * t_kepler
+    _assert_half_support_propagator(
+        spec, PulseSpec(fwhm=fwhm, peak_rabi=pi_pulse_peak_rabi(spec, fwhm)), "exact")
+
+
+@pytest.mark.parametrize("mode", ["exact", "taylor1"])
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_propagator_solve_ends_at_the_centre_on_the_full_support_grid(d, mode):
+    spec, fwhm, rabi = _gate_pulse(d)
+    pulse = PulseSpec(fwhm=fwhm, peak_rabi=rabi)
+    solves = []
+
+    def capture(coupling, t_span, y0, **kwargs):
+        solves.append(solve_ivp(coupling, t_span, y0, **kwargs))
+        return solves[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pulse_mod, "solve_ivp", capture)
+        pulse_mod._propagator.cache_clear()     # force a fresh U0 solve
+        pulse_propagator(spec, pulse, mode)
+        (half,) = solves
+        _full_support_propagator(spec, pulse, mode)
+    full = solves[1]
+    assert (half.t[0], half.t[-1]) == (pulse.t_start, pulse.center_time)
+    n = len(half.t) - 1
+    np.testing.assert_array_equal(half.t[:-1], full.t[:n])
+    assert full.t[n - 1] < pulse.center_time <= full.t[n]
 
 
 def _magnus4_propagator(nbar, d, mode, fwhm, peak_rabi, steps):
