@@ -38,27 +38,25 @@ once per call.  Sharing changes no byte of the JSON and no bit of any
 operator; it saves the building, checking, writing and freeing of the
 repeats.
 
-schedule_operator folds a whole schedule into one (d+2) x (d+2)
-operator over (g, e, levels), and run_program applies it to one state.
-The fold itself (_fold) keeps the operator's rows and columns in
-(g, levels, e) order, so that each pulse acts on one contiguous view;
-schedule_operator makes the one permutation to (g, e, levels) as it
-returns, and process_fidelity makes none: it reads the level block,
-the same entries in the same order either way, from the fold's operator
-and applies it to the stacked probe set.  run_program is the
-one executor for timed programs: a list of waits, single pulses and
-gate schedules run in order on a state's clock, optionally sampled
-into one trace of evolution.trace_rows.  Declarative configs and the
-scenarios lower onto it.
-All manifold pulses of a schedule share one shape and are resonant, so
-in both pulse models every pulse is one (d+1) x (d+1) kernel K
-conjugated by its pulse frame Q = diag(1, e^{i phi} e^{-i w t_c}):
-the cached full-model propagator of the shape (one matrix solve per
-distinct shape, shared across schedules), or the ideal storage <->
-core-slot swap at t = 0.  The fold builds every pulse's frame in one
-array operation, folds each run of storage pulses into one 2 x 2, and
-then costs one small matrix product per pulse and per storage run
-(np.dot: the zgemm that matmul calls, with less dispatch per call).
+schedule_factors lists a schedule as factors in schedule order, each
+with the rows it acts on, in one layout of the slow amplitudes,
+(b_g, b_energy, b_e): a manifold pulse is one (d+1) x (d+1) on g and
+the levels or on the levels and e, a run of storage pulses one 2 x 2
+on g and e.  Each row set is one strided view of an operator or a
+state, so a factor costs one small matrix product (np.dot: the zgemm
+or zgemv that matmul calls, with less dispatch per call).
+schedule_operator is the (d+2) x (d+2) product of the factors in that
+layout, process_fidelity reads its level block M[1:-1, 1:-1], and
+run_program applies the factors to one state.  The manifold pulses of
+a schedule share one shape and are resonant, so in both pulse models
+each is one cached kernel (the shape's full-model propagator, or the
+ideal storage <-> core-slot swap) conjugated by its pulse frame, and
+schedule_factors builds all the frames in one array operation.
+
+run_program is the one executor for timed programs: a list of waits,
+single pulses and gate schedules run in order on a state's clock,
+optionally sampled into one trace of evolution.trace_rows.
+Declarative configs and the scenarios lower onto it.
 
 A two-level factor touches two rows, so decompose_unitary and
 compose_ops update a matrix by one 2 x 2 BLAS product on the strided
@@ -141,7 +139,11 @@ def _unitary(U, d: int) -> np.ndarray:
               and abs((c * c.conjugate() + e * e.conjugate()).real - 1.0) <= tol
               and abs(a * c.conjugate() + b * e.conjugate()) <= tol)
     else:
-        ok = np.abs(U @ U.conj().T - _identity(d)).max() <= UNITARITY_TOL
+        # the squared moduli of a unitary's entries sum to d: one that is
+        # not finite, or large enough to overflow U U^dagger, fails
+        # before the BLAS product, which would warn of it
+        ok = (np.vdot(U, U).real <= 2 * d
+              and np.abs(np.dot(U, U.conj().T) - _identity(d)).max() <= UNITARITY_TOL)
     if not ok:
         raise ValueError("matrix is not unitary within 1e-9")
     return U
@@ -747,6 +749,83 @@ def compile_unitary(
 # simulation and process fidelity
 
 
+def schedule_factors(
+    schedule: GateSchedule,
+    mode: str = "exact",
+    pulses: str = "full",
+) -> tuple[list[tuple[str, np.ndarray]], float]:
+    """The schedule as a list of factors in schedule order, plus its
+    final clock.
+
+    Each factor is (rows, K): K acts on the slow amplitudes
+    (b_g, b_energy, b_e), with the clock starting at 0, through the rows
+    'g' (the first d + 1), 'e' (the last d + 1) or 'storage' (the first
+    and the last).  Pulse centres and t_end come from schedule.clock(),
+    so t_end is schedule.duration().  A Wait only advances the clock.
+    A run of StoragePulses is one 2 x 2 on 'storage', their product.  A
+    ManifoldPiPulse acts on its storage level and the levels.  A
+    schedule's pulses are resonant, so in either pulse model a pulse
+    centred at t with phase phi is one kernel conjugated by its pulse
+    frame, Q^-1 K Q with Q = diag(1, e^{i phi} e^{-i w t}) (see the
+    pulse module docstring), a (d+1) x (d+1) with the storage row first
+    for a pulse on g and last for one on e.  K is the cached propagator
+    U0 of the pulse shape (pulse.pulse_propagator) for pulses='full',
+    and the instantaneous perfect swap of storage and core slot at
+    t = 0 for pulses='ideal'.  Either kernel is cached in both
+    orientations it acts in: U0 in the propagator's cache entry, the
+    swap once per d.
+    """
+    if pulses not in ("full", "ideal"):
+        raise ValueError(f"pulses must be 'full' or 'ideal', got {pulses!r}")
+    spec = schedule.spec
+    d = spec.d
+    w = detunings(spec, mode)
+    centers, t_end = schedule.clock()
+    rows, manifold, runs = [], [], []
+    for prim in schedule.primitives:
+        if isinstance(prim, ManifoldPiPulse):
+            rows.append(prim.target)
+            manifold.append(prim)
+        elif isinstance(prim, StoragePulse):
+            if rows and rows[-1] == "storage":
+                runs[-1] = _product2(prim._entries(), runs[-1])
+            else:
+                rows.append("storage")
+                runs.append(prim._entries())
+        elif not isinstance(prim, Wait):
+            raise TypeError(f"unknown primitive {prim!r}")
+    P = ()
+    if manifold:
+        if pulses == "ideal":
+            kernels = _swap_kernels(d)
+        else:       # resonant pulses: carrier detuning 0
+            kernels = _propagator(spec, mode, schedule.pulse_fwhm, schedule.peak_rabi, 0.0)[1]
+        on_e = np.array([p.target == "e" for p in manifold])
+        # each pulse's frame vector (1, e^{i phi} e^{-i w t}) over its rows
+        q = np.ones((len(manifold), d + 2), dtype=complex)
+        q[:, 1:-1] = (np.exp(1j * np.array([p.phase for p in manifold]))[:, None]
+                      * np.exp(np.multiply.outer(centers, -1j * w)))
+        q = np.where(on_e[:, None], q[:, 1:], q[:, :-1])
+        # P[i] = Q^-1 K Q for pulse i, K in its rows' orientation
+        P = kernels.take(on_e.astype(int), axis=0)
+        P *= q.conj()[:, :, None]
+        P *= q[:, None, :]
+    pulse_factors = iter(P)
+    storage_factors = iter(np.array(runs, dtype=complex).reshape(-1, 2, 2))
+    return [(r, next(storage_factors if r == "storage" else pulse_factors)) for r in rows], t_end
+
+
+def _apply_factors(factors: list[tuple[str, np.ndarray]], x: np.ndarray) -> np.ndarray:
+    """x, an operator or a state over (b_g, b_energy, b_e), with the
+    factors applied in order, in place: one np.dot per factor on the
+    view of its rows."""
+    views = {"g": x[:-1], "e": x[1:], "storage": x[::len(x) - 1]}
+    for rows, K in factors:
+        view = views[rows]
+        view[...] = np.dot(K, view)
+    return x
+
+
 def schedule_operator(
     schedule: GateSchedule,
     mode: str = "exact",
@@ -754,83 +833,14 @@ def schedule_operator(
 ) -> tuple[np.ndarray, float]:
     """The whole schedule as one operator, plus its final clock.
 
-    M is (d+2) x (d+2) over the slow amplitudes (b_g, b_e, b_energy)
-    with the clock starting at 0; t_end is the clock after the last
-    primitive.  Pulse centres and t_end come from schedule.clock(), so
-    t_end is schedule.duration().  A Wait only advances the clock, a
-    StoragePulse acts on rows (g, e), and a ManifoldPiPulse acts on
-    (its storage, levels).  A schedule's pulses are resonant, so in
-    either pulse model a pulse centred at t with phase phi acts as one
-    kernel K conjugated by the pulse frame, Q^-1 K Q with
-    Q = diag(1, e^{i phi} e^{-i w t}) (see the pulse module docstring).
-    K is the cached propagator U0 of the pulse shape
-    (pulse.pulse_propagator) for pulses='full', and the instantaneous
-    perfect swap of storage and core slot at t = 0 for pulses='ideal'.
-    Either kernel is cached in both orientations it acts in (its storage
-    row and column first for a pulse on g, last for one on e): U0 in
-    the propagator's cache entry, the swap once per d.
-
-    The fold keeps M's rows and columns in (g, levels, e) order; this
-    function makes the one permutation to (g, e, levels) on the way out.
+    M is the (d+2) x (d+2) product of schedule_factors over the slow
+    amplitudes (b_g, b_energy, b_e), with the clock starting at 0: its
+    rows and columns run g, the d levels, e, so M[1:-1, 1:-1] is the
+    level block.  t_end is the clock after the last primitive,
+    schedule.duration().
     """
-    M, t_end = _fold(schedule, mode, pulses)
-    return M.take(_output_order(schedule.d)), t_end
-
-
-def _fold(schedule: GateSchedule, mode: str, pulses: str) -> tuple[np.ndarray, float]:
-    """schedule_operator's M in the fold's own (g, levels, e) order, and
-    t_end.  The level block M[1:-1, 1:-1] holds the entries of the public
-    M[2:, 2:] in the same order."""
-    if pulses not in ("full", "ideal"):
-        raise ValueError(f"pulses must be 'full' or 'ideal', got {pulses!r}")
-    spec = schedule.spec
-    d = spec.d
-    w = detunings(spec, mode)
-    centers, t_end = schedule.clock()
-    M = _identity(d + 2).copy()
-    # M's rows are kept in (g, levels, e) order, so that a pulse on g acts
-    # on the view M[:-1], one on e on M[1:] (with K's storage row last)
-    # and a storage pulse on M[::d + 1]
-    views = {"g": M[:-1], "e": M[1:]}
-    storage = M[::d + 1]
-    steps = []          # the view each factor acts on, in schedule order
-    manifold, runs = [], []
-    for prim in schedule.primitives:
-        if isinstance(prim, ManifoldPiPulse):
-            steps.append(views[prim.target])
-            manifold.append(prim)
-        elif isinstance(prim, StoragePulse):
-            # a run of storage pulses folds into one 2 x 2
-            if steps and steps[-1] is storage:
-                runs[-1] = _product2(prim._entries(), runs[-1])
-            else:
-                steps.append(storage)
-                runs.append(prim._entries())
-        elif not isinstance(prim, Wait):
-            raise TypeError(f"unknown primitive {prim!r}")
-    pulse_factors = iter(())
-    if manifold:
-        if pulses == "ideal":
-            kernels = _swap_kernels(d)
-        else:       # resonant pulses: carrier detuning 0
-            kernels = _propagator(spec, mode, schedule.pulse_fwhm, schedule.peak_rabi, 0.0)[1]
-        on_e = np.array([p.target == "e" for p in manifold])
-        # each pulse's frame vector (1, e^{i phi} e^{-i w t}), in view order
-        q = np.ones((len(manifold), d + 2), dtype=complex)
-        q[:, 1:-1] = (np.exp(1j * np.array([p.phase for p in manifold]))[:, None]
-                      * np.exp(np.multiply.outer(centers, -1j * w)))
-        q = np.where(on_e[:, None], q[:, 1:], q[:, :-1])
-        # P[i] = Q^-1 K Q for pulse i, K in its view's orientation
-        P = kernels.take(on_e.astype(int), axis=0)
-        P *= q.conj()[:, :, None]
-        P *= q[:, None, :]
-        pulse_factors = iter(P)
-    # the pulses' and the storage runs' factors, each in schedule order
-    storage_factors = iter(np.array(runs, dtype=complex).reshape(-1, 2, 2))
-    for view in steps:
-        K = next(storage_factors) if view is storage else next(pulse_factors)
-        view[...] = np.dot(K, view)
-    return M, t_end
+    factors, t_end = schedule_factors(schedule, mode, pulses)
+    return _apply_factors(factors, _identity(schedule.d + 2).copy()), t_end
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -847,17 +857,6 @@ def _swap_kernels(d: int) -> np.ndarray:
     K[1:, 0] = 1j * c.conj()
     K[1:, 1:] = np.eye(d) - np.outer(c.conj(), c)
     return kernel_orientations(K)
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _output_order(d: int) -> np.ndarray:
-    """Flat indices that take a (d+2) x (d+2) operator from (g, levels, e)
-    order to (g, e, levels) order, the permutation [0, d+1, 1..d] on
-    rows and columns; read-only."""
-    order = np.r_[0, d + 1, 1:d + 1]
-    flat = order[:, None] * (d + 2) + order
-    flat.flags.writeable = False
-    return flat
 
 
 def _product2(a, b):
@@ -889,11 +888,12 @@ def run_program(
       Wait          free flight for its duration;
       PulseSpec     free flight to max(t_start, clock), then the pulse
                     in the full model (integrate_pulse);
-      GateSchedule  the schedule as one operator (schedule_operator with
-                    the given `pulses`), its clock starting at the
-                    current clock, so its slot labels are the slots as
-                    they stand then; the storage levels must be empty
-                    (population <= 1e-12).
+      GateSchedule  the schedule's factors (schedule_factors with the
+                    given `pulses`) applied to the state in turn, the
+                    schedule's clock starting at the current clock, so
+                    its slot labels are the slots as they stand then;
+                    the storage levels must be empty (population
+                    <= 1e-12).
 
     With n_trace >= 2 every flight and pulse segment is sampled at
     n_trace points (evolution.trace_rows) and the segments are joined
@@ -931,12 +931,13 @@ def run_program(
                                      "levels; a compiled gate needs them empty")
                 if item.spec != state.spec:
                     raise ValueError(f"schedule is for {item.spec}, the state for {state.spec}")
-                M, t_end = schedule_operator(item, mode, pulses)
+                factors, t_end = schedule_factors(item, mode, pulses)
                 # the schedule's clock starts at 0: move into its frame and back
                 phase = np.exp(-1j * detunings(state.spec, mode) * state.t)
-                v = M @ np.concatenate(([state.b_g, state.b_e], phase * state.b_energy))
-                state.b_g, state.b_e = complex(v[0]), complex(v[1])
-                state.b_energy = phase.conj() * v[2:]
+                v = np.concatenate(([state.b_g], phase * state.b_energy, [state.b_e]))
+                _apply_factors(factors, v)
+                state.b_g, state.b_e = complex(v[0]), complex(v[-1])
+                state.b_energy = phase.conj() * v[1:-1]
                 state.t += t_end
             else:
                 raise TypeError(f"unknown program item {item!r}")
@@ -996,14 +997,12 @@ def process_fidelity(
     An empty schedule against the identity gives exactly 1.  A target
     that is not a d x d unitary (within 1e-9) raises ValueError.
 
-    The probes start with empty storage, so only the operator's level
-    block acts.  It is read from the fold's operator (_fold) directly,
-    where the same entries sit in the same order as in
-    schedule_operator's M[2:, 2:], so no output permutation is made.
+    The probes start with empty storage, so only the level block
+    M[1:-1, 1:-1] of schedule_operator's M acts.
     """
     spec = schedule.spec
     U = _unitary(U_target, spec.d)
-    M, t_end = _fold(schedule, mode, pulses)
+    M, t_end = schedule_operator(schedule, mode, pulses)
     F = energy_to_packet_matrix(spec.d)
     probes, probes_energy = _probe_matrices(spec)
     b = M[1:-1, 1:-1] @ probes_energy

@@ -27,8 +27,8 @@ SPECTRUM_MODES = ("exact", "taylor1", "taylor2", "taylor3")
 # time scales (t_superrevival grows as nbar^5) overflow a float; at it a
 # compiled gate still verifies in the full pulse model.
 MAX_NBAR = 10**6
-# Entries kept by each per-process cache of the package (the DFT matrix,
-# the ideal pulse kernel and the gate operator's output order per d,
+# Entries kept by each per-process cache of the package (the DFT matrix
+# and the ideal pulse kernel per d, the complex identity per size,
 # time scales per manifold, detunings per manifold and spectrum mode,
 # fidelity probes per manifold, compiled gates' pi-pulse Rabi
 # frequencies per manifold and FWHM, pulse propagators per shape).  The

@@ -37,6 +37,7 @@ from rydpacket.gates import (
     merge_same_pair,
     probe_states,
     random_two_level_unitary,
+    schedule_factors,
     schedule_from_json,
     schedule_operator,
     schedule_to_json,
@@ -84,7 +85,8 @@ FACTOR_SHA256 = {
 }
 # SHA-256 over M.tobytes(), then t_end as float64 bytes, of
 # schedule_operator(compile_unitary(_haar(d, d)), mode, pulses) at nbar = 180
-# (SkylakeX kernels)
+# (SkylakeX kernels), M's rows and columns taken to the (g, e, levels)
+# order they were frozen in
 SCHEDULE_OPERATOR_SHA256 = {
     ("taylor1", "ideal", 2): "0600a495a5bbb344fd51812fa43d47be22353b37ff91e4ad5896e34d44e6bb3a",
     ("taylor1", "ideal", 4): "20dd41b45d984cf92c04745778912aba0e2b8927e81d3ee796accb966f9ec950",
@@ -677,7 +679,8 @@ def test_compiled_schedule_json_is_frozen(d):
 @pytest.mark.parametrize("mode, pulses, d", sorted(SCHEDULE_OPERATOR_SHA256))
 def test_compiled_schedule_operator_is_frozen(mode, pulses, d):
     M, t_end = schedule_operator(compile_unitary(_haar(d, d), _spec(d)), mode, pulses)
-    h = hashlib.sha256(M.tobytes())
+    order = np.r_[0, d + 1, 1:d + 1]
+    h = hashlib.sha256(M[np.ix_(order, order)].tobytes())
     h.update(np.float64(t_end).tobytes())
     assert h.hexdigest() == SCHEDULE_OPERATOR_SHA256[mode, pulses, d]
 
@@ -844,7 +847,7 @@ _angles = st.floats(-2 * math.pi, 2 * math.pi)
 
 @st.composite
 def _operator_cases(draw):
-    """(schedule, mode, pulses, initial vector over (g, e, levels)):
+    """(schedule, mode, pulses, initial vector over (g, levels, e)):
     random primitives, with runs of storage pulses before, between and
     after the manifold pulses.  Full-model draws share one spec, pulse
     shape and spectrum, so one cached propagator serves them all."""
@@ -888,11 +891,39 @@ def test_schedule_operator_matches_per_primitive_loop_property(case):
     sched, mode, pulses, v0 = case
     M, t_end = schedule_operator(sched, mode, pulses)
     v = M @ v0
-    ref = _reference_run(sched, energy_to_packet_matrix(sched.d) @ v0[2:], mode, pulses,
-                         b_g=v0[0], b_e=v0[1])
+    ref = _reference_run(sched, energy_to_packet_matrix(sched.d) @ v0[1:-1], mode, pulses,
+                         b_g=v0[0], b_e=v0[-1])
     assert t_end == ref.t == sched.duration()
-    np.testing.assert_allclose(v, np.concatenate(([ref.b_g, ref.b_e], ref.b_energy)),
+    np.testing.assert_allclose(v, np.concatenate(([ref.b_g], ref.b_energy, [ref.b_e])),
                                rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("pulses", ["full", "ideal"])
+def test_schedule_factors_are_the_pulses_and_storage_runs_in_order(pulses):
+    # one factor per manifold pulse and per run of storage pulses (a wait
+    # leaves storage alone), each on its rows of (g, levels, e); their
+    # product, embedded factor by factor, is schedule_operator's M
+    d = 4
+    sched = compile_unitary(_haar(d, 23), _spec(d))
+    sched.primitives = [Wait(1.0), StoragePulse(theta=0.3)] + sched.primitives
+    factors, t_end = schedule_factors(sched, "exact", pulses)
+    rows = []
+    for p in sched.primitives:
+        if isinstance(p, ManifoldPiPulse):
+            rows.append(p.target)
+        elif isinstance(p, StoragePulse) and rows[-1:] != ["storage"]:
+            rows.append("storage")
+    assert [r for r, _ in factors] == rows
+    assert t_end == sched.duration()
+    index = {"g": np.arange(d + 1), "e": np.arange(1, d + 2), "storage": np.array([0, d + 1])}
+    M = np.eye(d + 2, dtype=complex)
+    for r, K in factors:
+        assert K.shape == (len(index[r]),) * 2
+        E = np.eye(d + 2, dtype=complex)
+        E[np.ix_(index[r], index[r])] = K
+        M = E @ M
+    np.testing.assert_allclose(schedule_operator(sched, "exact", pulses)[0], M,
+                               rtol=0, atol=1e-13)
 
 
 def test_schedule_duration_is_the_operator_clock():
@@ -999,11 +1030,11 @@ def _program_reference(state, program, mode, pulses):
         else:
             M, t_end = schedule_operator(item, mode, pulses)
             b = F.conj().T @ state.packet_amplitudes(mode=mode)
-            v = M @ np.concatenate(([state.b_g, state.b_e], b))
-            bt_out = F @ (v[2:] * np.exp(-1j * w * t_end))
+            v = M @ np.concatenate(([state.b_g], b, [state.b_e]))
+            bt_out = F @ (v[1:-1] * np.exp(-1j * w * t_end))
             state.t += t_end
             state.b_energy = np.exp(1j * w * state.t) * (F.conj().T @ bt_out)
-            state.b_g, state.b_e = v[0], v[1]
+            state.b_g, state.b_e = v[0], v[-1]
     return state
 
 
@@ -1116,9 +1147,8 @@ def test_run_program_rejects_bad_items():
 
 
 _CACHES = (basis_mod._dft_matrix, manifold_mod._time_scales, manifold_mod._detunings,
-           gates_mod._probe_matrices, gates_mod._swap_kernels, gates_mod._output_order,
-           gates_mod._identity, gates_mod._half_width, gates_mod._pi_peak_rabi,
-           pulse_mod._propagator)
+           gates_mod._probe_matrices, gates_mod._swap_kernels, gates_mod._identity,
+           gates_mod._half_width, gates_mod._pi_peak_rabi, pulse_mod._propagator)
 
 
 def _clear_caches():
@@ -1153,19 +1183,18 @@ def _assert_read_only(a):
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
-def test_kernels_and_output_order_are_cached_and_read_only(d):
+def test_kernels_are_cached_and_read_only(d):
     spec = _spec(d)
     fwhm = DEFAULT_GATE_FWHM_FACTOR * time_scales(spec).t_kepler / d
     rabi = pi_pulse_peak_rabi(spec, fwhm)
     U0, kernels = pulse_mod._propagator(spec, "exact", fwhm, rabi, 0.0)
     swap = gates_mod._swap_kernels(d)
-    order = gates_mod._output_order(d)
     eye = gates_mod._identity(d + 2)
-    for a in (U0, kernels, swap, order, eye):
+    for a in (U0, kernels, swap, eye):
         _assert_read_only(a)
     assert gates_mod._identity(d + 2) is eye and np.array_equal(eye, np.eye(d + 2))
     assert pulse_mod.pulse_propagator(spec, PulseSpec(fwhm=fwhm, peak_rabi=rabi)) is U0
-    assert gates_mod._swap_kernels(d) is swap and gates_mod._output_order(d) is order
+    assert gates_mod._swap_kernels(d) is swap
     # each kernel in both orientations: the storage row and column first, then last
     for K2 in (kernels, swap):
         assert K2.shape == (2, d + 1, d + 1)
@@ -1177,10 +1206,6 @@ def test_kernels_and_output_order_are_cached_and_read_only(d):
     bt = packet_to_energy_matrix(d) @ core
     np.testing.assert_allclose(swap[0] @ np.r_[0.0, bt], np.r_[1j, np.zeros(d)], atol=1e-15)
     np.testing.assert_allclose(swap[0] @ np.r_[1.0, np.zeros(d)], np.r_[0.0, 1j * bt], atol=1e-15)
-    # the output order takes (g, levels, e) rows and columns to (g, e, levels)
-    perm = [0, d + 1, *range(1, d + 1)]
-    M = np.arange((d + 2) ** 2).reshape(d + 2, d + 2)
-    assert np.array_equal(M.take(order), M[np.ix_(perm, perm)])
     # compiled schedules compute the pi-pulse Rabi frequency once per
     # (manifold, FWHM)
     gates_mod._pi_peak_rabi.cache_clear()
@@ -1215,7 +1240,7 @@ def _fidelity_formula(M, t_end, spec, U, mode):
     probes = [np.eye(d, dtype=complex)[i] for i in range(d)]
     probes += [F @ (np.exp(-2j * np.pi * labels * m / (d + 1)) / np.sqrt(d)) for m in range(d + 1)]
     probes = np.stack(probes, axis=1)
-    out = F @ (np.exp(-1j * w * t_end)[:, None] * (M[2:, 2:] @ (F.conj().T @ probes)))
+    out = F @ (np.exp(-1j * w * t_end)[:, None] * (M[1:-1, 1:-1] @ (F.conj().T @ probes)))
     return float(np.mean(np.abs(np.sum((U @ probes).conj() * out, axis=0)) ** 2))
 
 
@@ -1242,13 +1267,13 @@ def test_cached_constants_leave_operator_and_fidelity_bit_equal(mode, pulses):
 
 def _public_operator_fidelity(schedule, U, mode, pulses):
     """The reference probe average: process_fidelity's formula on
-    schedule_operator's public M, whose level block M[2:, 2:] is a
-    contiguous copy."""
+    schedule_operator's level block M[1:-1, 1:-1], with the cached
+    probes."""
     spec = schedule.spec
     M, t_end = schedule_operator(schedule, mode, pulses)
     F = energy_to_packet_matrix(spec.d)
     probes, probes_energy = gates_mod._probe_matrices(spec)
-    b = M[2:, 2:] @ probes_energy
+    b = M[1:-1, 1:-1] @ probes_energy
     out = F @ (np.exp(-1j * detunings(spec, mode) * t_end)[:, None] * b)
     fids = np.abs(np.sum((U @ probes).conj() * out, axis=0)) ** 2
     return float(np.mean(fids))
@@ -1256,9 +1281,9 @@ def _public_operator_fidelity(schedule, U, mode, pulses):
 
 @pytest.mark.parametrize("mode, pulses", [("exact", "full"), ("taylor1", "ideal")])
 def test_process_fidelity_is_the_public_operators_probe_average(mode, pulses):
-    # process_fidelity reads the level block in the fold's own row order:
-    # bit for bit the average over the public operator, on compiled Haar
-    # and two-level targets, as compiled and as parsed back from JSON
+    # bit for bit the average over the public operator's level block, on
+    # compiled Haar and two-level targets, as compiled and as parsed back
+    # from JSON
     rng = np.random.default_rng(24)
     cases = [("haar", d) for d in (2, 3, 4, 8)] + [("two_level", d) for d in (4, 8)]
     for kind, d in cases:
@@ -1373,14 +1398,13 @@ def test_unitary_2x2_rejects_non_finite(bad, where):
 @pytest.mark.parametrize("d", [3, 4, 8])
 def test_unitary_dxd_rejects_non_finite(d, where, bad):
     # one bad entry of a unitary: the entry itself, or its overflow in
-    # U U^dagger, must fail the check.  The product warns of the inf and
-    # NaN it makes (an error under this suite's filter), so only the
-    # decision is tested here.
+    # U U^dagger, must fail the check, without a warning (an error under
+    # this suite's filter) from the product
     U = energy_to_packet_matrix(d).copy()
     gates_mod._unitary(U, d)
     U[{"first": (0, 0), "corner": (0, d - 1), "inner": (d // 2, 1),
        "last": (d - 1, d - 1)}[where]] = bad
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not unitary within 1e-9"):
+    with pytest.raises(ValueError, match="not unitary within 1e-9"):
         gates_mod._unitary(U, d)
 
 
