@@ -43,7 +43,8 @@ class AmplitudeVector:
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("amplitude vector must be 1-d with at least 2 entries")
-        n = float(np.linalg.norm(v))
+        with np.errstate(over="ignore"):    # an overflowing norm is inf, rejected below
+            n = float(np.linalg.norm(v))
         if not abs(n - 1.0) <= NORM_SLACK:
             raise ValueError(f"amplitudes not normalized: |norm - 1| = {abs(n - 1.0):.3e}")
 

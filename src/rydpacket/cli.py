@@ -122,10 +122,10 @@ def _resolve_source(source: str):
         text = read_text(source)
         try:
             cfg = yaml.load(text, Loader=_ConfigLoader)
-        except yaml.YAMLError as e:
-            raise ConfigError(f"{source}: not valid YAML ({e})") from None
         except ConfigError as e:
             raise ConfigError(f"{source}: {e}") from None
+        except (yaml.YAMLError, ValueError) as e:   # ValueError: an int past the digit limit
+            raise ConfigError(f"{source}: not valid YAML ({e})") from None
         if not isinstance(cfg, dict):
             raise ConfigError(f"{source}: config must be a mapping")
         return cfg

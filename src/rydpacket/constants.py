@@ -1,9 +1,10 @@
-"""Unit conversions.
+"""Unit conversions and the input-number rule.
 
 All internal physics is done in Hartree atomic units (hbar = m_e = e =
 4 pi eps0 = 1).  Energies and angular frequencies share the same unit;
 times are atomic time units.  Conversions below are used only at the
-reporting and config-parsing boundaries.
+reporting and config-parsing boundaries, where is_finite_number decides
+which numbers an input file may hold.
 """
 
 import math
@@ -26,3 +27,14 @@ TIME_UNITS = {
 
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
+
+
+def is_finite_number(value) -> bool:
+    """True for an int or a float, not a bool, with a finite value.  An
+    int beyond the float range is not finite.  Every input reader (YAML
+    quantities and parameters, unitary JSON, amplitude pairs, schedule
+    JSON) decides with this."""
+    try:
+        return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:       # an int too large for a float
+        return False

@@ -20,7 +20,7 @@ absorbs by realizing -u2 between the storages.
 Schedules carry relative timing only (Wait entries); a manifold pulse
 occupies its envelope support starting at the clock position t where
 it appears, centred at t + h and ending at (t + h) + h, with h the
-support half-width (PulseSpec.half_width).  GateSchedule.clock is the
+support half-width (pulse.support_half_width).  GateSchedule.clock is the
 one walk that places the pulses; duration and schedule_operator both
 read it.
 
@@ -98,7 +98,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .basis import energy_to_packet_matrix
-from .constants import AU_TIME_NS, LN2
+from .constants import AU_TIME_NS, LN2, is_finite_number
 from .manifold import CACHE_SIZE, ManifoldSpec, detunings, time_scales
 from .pulse import (
     PulseSpec,
@@ -109,6 +109,7 @@ from .pulse import (
     integrate_pulse,
     kernel_orientations,
     pi_pulse_peak_rabi,
+    support_half_width,
 )
 from .evolution import TraceRecord, shift_matrix, trace_rows
 
@@ -435,7 +436,7 @@ class GateSchedule:
         A Wait advances the clock by its duration; a manifold pulse is
         centred one support half-width after the clock and ends one
         half-width after its centre."""
-        half = _half_width(self.pulse_fwhm)
+        half = support_half_width(self.pulse_fwhm)
         centers: list[float] = []
         t = 0.0
         for p in self.primitives:
@@ -451,13 +452,6 @@ class GateSchedule:
 
     def manifold_pulse_count(self) -> int:
         return sum(isinstance(p, ManifoldPiPulse) for p in self.primitives)
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _half_width(fwhm: float) -> float:
-    """PulseSpec.half_width of a pulse of this FWHM, which PulseSpec
-    checks (ValueError unless positive and finite); once per FWHM."""
-    return float(PulseSpec(fwhm=fwhm, peak_rabi=1.0).half_width)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +520,7 @@ def _json_number(obj: dict, key: str):
     v = obj[key]
     if type(v) is float and math.isfinite(v):   # what schedule_to_json writes
         return v
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    if not is_finite_number(v):
         raise ValueError(f"{key} must be a finite number, got {v!r}")
     return v
 
@@ -617,7 +611,7 @@ class _Compiler:
         self.spec = spec
         self.step = time_scales(spec).t_kepler / spec.d
         self.fwhm = pulse_fwhm
-        self.half = PulseSpec(fwhm=pulse_fwhm, peak_rabi=1.0).half_width
+        self.half = support_half_width(pulse_fwhm)
         self.t = 0.0                      # clock at end of emitted primitives
         self.prims: list = []
         # one object per distinct wait duration and manifold pulse

@@ -31,10 +31,13 @@ MAX_NBAR = 10**6
 # and the ideal pulse kernel per d, the complex identity per size,
 # time scales per manifold, detunings per manifold and spectrum mode,
 # fidelity probes per manifold, compiled gates' pi-pulse Rabi
-# frequencies per manifold and FWHM, pulse propagators per shape).  The
-# most distinct keys a benchmark workload meets in one cache is about
-# 400 (detunings, scenarios_cli), so none of them evicts there; an entry
-# holds at most O(d^2) numbers.
+# frequencies per manifold and FWHM, pulse propagators per shape, pulse
+# support half-widths per FWHM).  Apart from the half-widths, the most
+# distinct keys a benchmark workload meets in one cache is about 400
+# (detunings, scenarios_cli), so none of them evicts there; an entry
+# holds at most O(d^2) numbers.  Every pulse's FWHM passes through the
+# half-width cache, and scenarios_cli's single pulses (about 130 per
+# round, each of its own FWHM) evict there; an entry costs a division.
 CACHE_SIZE = 1024
 
 

@@ -72,6 +72,9 @@ from .manifold import CACHE_SIZE, ManifoldSpec, detunings, time_scales
 
 TRUNCATION_SIGMAS = 4.0        # envelope support half-width, in sigma
 NORM_TOLERANCE = 1e-8          # allowed norm drift per integration
+# solve_ivp's relative and absolute tolerances: every step's error is
+# scaled by ATOL + RTOL |y|
+RTOL, ATOL = 1e-10, 1e-12
 # Largest |area| of a pulse given as input (declarative pulses, schedule
 # JSON), in radians: 50 Rabi cycles.  Far larger areas overflow the
 # integrator or take it millions of steps.
@@ -95,8 +98,7 @@ class PulseSpec:
     target: str = "g"            # storage level it couples: 'g' or 'e'
 
     def __post_init__(self):
-        if not (math.isfinite(self.fwhm) and self.fwhm > 0):
-            raise ValueError(f"pulse FWHM must be positive and finite, got {self.fwhm}")
+        support_half_width(self.fwhm)       # ValueError unless positive and finite
         for name in ("peak_rabi", "carrier_detuning", "phase", "center_time"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"pulse {name} must be finite, got {getattr(self, name)}")
@@ -109,8 +111,8 @@ class PulseSpec:
 
     @property
     def half_width(self) -> float:
-        """Half-width of the envelope support, TRUNCATION_SIGMAS sigma."""
-        return TRUNCATION_SIGMAS * self.sigma
+        """Half-width of the envelope support, support_half_width(fwhm)."""
+        return support_half_width(self.fwhm)
 
     @property
     def t_start(self) -> float:
@@ -130,6 +132,17 @@ class PulseSpec:
         """Integral of f over the truncated support (analytic)."""
         s = self.sigma
         return s * math.sqrt(2.0 * math.pi) * math.erf(TRUNCATION_SIGMAS / math.sqrt(2.0))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def support_half_width(fwhm: float) -> float:
+    """Half-width of the envelope support of a pulse of this FWHM,
+    TRUNCATION_SIGMAS sigma, as a float; ValueError unless fwhm is
+    positive and finite.  Cached per FWHM: compiled and parsed schedules
+    meet a few FWHMs again and again."""
+    if not (math.isfinite(fwhm) and fwhm > 0):
+        raise ValueError(f"pulse FWHM must be positive and finite, got {fwhm}")
+    return float(TRUNCATION_SIGMAS * (fwhm / (2.0 * math.sqrt(2.0 * LN2))))
 
 
 @dataclass(frozen=True)
@@ -245,8 +258,8 @@ def two_level_oracle(
         bt_0' = i e^{-i phi} sin(theta/2) b_g + cos(theta/2) bt_0
 
     Detuned pulses integrate the same two-amplitude system numerically,
-    with integrate_pulse's solver settings; a failed solve raises
-    RuntimeError.
+    with integrate_pulse's solver settings (solve_ivp at RTOL and ATOL);
+    a failed solve raises RuntimeError.
     """
     if pulse.carrier_detuning == 0.0:
         theta = omega_tilde0 * pulse.envelope_area()
@@ -314,8 +327,8 @@ def integrate_pulse(
 
     Integration uses the package's Dormand-Prince 5(4) stepper
     (solve_ivp: one fixed grid whose every step passes the embedded
-    error test, each step applied as a matrix) with rtol 1e-10,
-    atol 1e-12 and a max step bounded by both the envelope and the
+    error test, each step applied as a matrix) at RTOL 1e-10 and
+    ATOL 1e-12, with a max step bounded by both the envelope and the
     fastest detuning phase; the trace samples its dense output, and the
     grid and the final state are the same with or without it.  A failed
     solve, or a norm drift beyond 1e-8 or NaN, raises RuntimeError.
@@ -365,8 +378,8 @@ def _solve_pulse(pulse: PulseSpec, omega: np.ndarray, deltas: np.ndarray, y0: np
                         deltas=deltas)
     max_step = min(pulse.fwhm / 50.0, TWO_PI / (10.0 * float(np.max(np.abs(deltas)))))
     t_stop = pulse.t_end if t_stop is None else t_stop
-    sol = solve_ivp(coupling, (pulse.t_start, t_stop), y0, rtol=1e-10, atol=1e-12,
-                    max_step=max_step, dense_output=dense_output)
+    sol = solve_ivp(coupling, (pulse.t_start, t_stop), y0, max_step=max_step,
+                    dense_output=dense_output)
     if not sol.success:
         raise RuntimeError(f"pulse integration failed: {sol.message}")
     return sol
@@ -453,12 +466,12 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) / x.size ** 0.5
 
 
-def _initial_step(cp, t0, y0, t_bound, max_step, rtol, atol) -> float:
+def _initial_step(cp, t0, y0, t_bound, max_step) -> float:
     """First step size from the local derivative scale (Hairer, Norsett &
     Wanner, Solving ODEs I, Sec. II.4), as scipy's select_initial_step.
     An overflowed or NaN derivative gives 0 or NaN."""
     interval = t_bound - t0
-    scale = atol + np.abs(y0) * rtol
+    scale = ATOL + np.abs(y0) * RTOL
     f0 = _derivative(cp, t0, y0)
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -531,7 +544,7 @@ def _dense_coefficients(parts, y: np.ndarray) -> np.ndarray:
     return np.concatenate((kappa.swapaxes(1, 2), (v * sigma).swapaxes(1, 2)), axis=1) @ _P
 
 
-def solve_ivp(coupling: Coupling, t_span, y0, rtol, atol, max_step, dense_output=False):
+def solve_ivp(coupling: Coupling, t_span, y0, max_step, dense_output=False):
     """Integrate the coupling's ODE over t_span = (t0, t1), t1 > t0, with
     the Dormand-Prince 5(4) pair on one step grid fixed in advance.
 
@@ -541,7 +554,7 @@ def solve_ivp(coupling: Coupling, t_span, y0, rtol, atol, max_step, dense_output
     x10 up to a cap, min(max_step, t1 - t0), then takes steps of the cap
     (see _grid).  Every step is applied as a matrix, built in batches.
     The grid is accepted whole if every step's RMS error norm (over all
-    entries of y, scaled by atol + rtol |y| as scipy's RK45 scales it)
+    entries of y, scaled by ATOL + RTOL |y| as scipy's RK45 scales it)
     is below 1; otherwise the cap shrinks by the RK45 controller's factor
     for the worst step and the solve starts again.  A zero, NaN or too
     small step, or an error norm that is NaN or infinite, ends the run
@@ -558,7 +571,7 @@ def solve_ivp(coupling: Coupling, t_span, y0, rtol, atol, max_step, dense_output
     y0 = np.asarray(y0, dtype=complex)
     if dense_output and y0.ndim != 1:
         raise ValueError("dense output needs a state vector")
-    h0 = _initial_step(coupling, t0, y0, t1, max_step, rtol, atol)
+    h0 = _initial_step(coupling, t0, y0, t1, max_step)
     cap, nfev = min(max_step, t1 - t0), 2
     message = _TOO_SMALL_STEP
     while h0 > 0 and cap >= 10 * math.ulp(max(abs(t0), abs(t1))):     # False for NaN too
@@ -575,7 +588,7 @@ def solve_ivp(coupling: Coupling, t_span, y0, rtol, atol, max_step, dense_output
                 np.dot(Mk, yk, out=yk1)
             Y = yb.reshape(N + 1, len(y0), -1)
             abs_Y = np.abs(Y)
-            errs = ((err_ops @ Y[:-1]) / (atol + np.maximum(abs_Y[:-1], abs_Y[1:]) * rtol)
+            errs = ((err_ops @ Y[:-1]) / (ATOL + np.maximum(abs_Y[:-1], abs_Y[1:]) * RTOL)
                     ).reshape(N, -1).view(float)
             # the largest squared error norm so far; np.maximum keeps a NaN
             worst = np.maximum(worst, np.max(np.einsum("ki,ki->k", errs, errs)))

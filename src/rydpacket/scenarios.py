@@ -34,7 +34,7 @@ from .basis import (
     uniform_energy,
     uniform_packet,
 )
-from .constants import AU_TIME_NS, LN2, TIME_UNITS
+from .constants import AU_TIME_NS, LN2, TIME_UNITS, is_finite_number
 from .evolution import (
     TraceRecord,
     autocorrelation,
@@ -64,6 +64,7 @@ from .pulse import (
     core_rabi_dft,
     pi_pulse_peak_rabi,
     rabi_profile,
+    support_half_width,
     validate_pulse,
     two_level_oracle,
 )
@@ -131,16 +132,18 @@ def _received(value) -> str:
 
 
 def _finite(value, where: str) -> float:
-    """A config number as a finite float; booleans are not numbers."""
+    """A config number as a float; ConfigError unless it is a finite
+    number (constants.is_finite_number)."""
+    if is_finite_number(value):
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {_received(value)}")
-    try:
-        x = float(value)
-    except OverflowError:       # an integer beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise ConfigError(f"{where}: must be finite, got {x!r}")
-    return x
+    raise ConfigError(f"{where}: must be finite, got {_received(value)}")
+
+
+def _is_pair(value) -> bool:
+    """An [re, im] list of exactly two finite numbers."""
+    return isinstance(value, list) and len(value) == 2 and all(map(is_finite_number, value))
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -176,14 +179,11 @@ def unitary_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ConfigError("unitary: expected a non-empty list of rows")
 
-    def real(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
     def entry(x, where):
-        if real(x):
+        if is_finite_number(x):
             return complex(x)
-        if isinstance(x, list) and len(x) == 2 and all(real(p) for p in x):
-            return complex(x[0], x[1])
+        if _is_pair(x):
+            return complex(*x)
         raise ConfigError(f"{where}: matrix entries are finite numbers or [re, im] pairs")
 
     d = len(obj)
@@ -215,7 +215,7 @@ def load_unitary_file(path) -> np.ndarray:
     text = read_text(path)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:     # JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"{path}: not valid JSON ({e})") from None
     return unitary_from_obj(obj)
 
@@ -336,20 +336,16 @@ def describe(name: str) -> str:
 
 
 def _coerce_param(key: str, value, default):
+    """value as the type of the scenario's default: an int, a float or
+    a list of ints."""
     where = f"config.params.{key}"
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where}: expected a boolean, got {_received(value)}")
-        return value
     if isinstance(default, int):
         return _require_int(value, where)
     if isinstance(default, float):
         return _finite(value, where)
-    if isinstance(default, (list, tuple)):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where}: expected a list of integers, got {_received(value)}")
-        return [_require_int(x, f"{where}[{i}]") for i, x in enumerate(value)]
-    raise ConfigError(f"{where}: unsupported parameter type")
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list of integers, got {_received(value)}")
+    return [_require_int(x, f"{where}[{i}]") for i, x in enumerate(value)]
 
 
 def run_scenario(config) -> ScenarioResult:
@@ -412,10 +408,19 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _at_least(params: dict, key: str, lo) -> None:
-    """ConfigError naming config.params.<key> unless params[key] >= lo."""
-    if not params[key] >= lo:
-        raise ConfigError(f"config.params.{key}: must be >= {lo}, got {params[key]!r}")
+# Largest count a config may set (states, pairs, Haar draws, grid and
+# trace points, a dimension): every default and benchmark draw is
+# <= 1000.  Far beyond it a count sizes an array numpy cannot allocate
+# or a loop that never ends; up to it a run may still be slow.
+MAX_COUNT = 10**6
+
+
+def _in_range(params: dict, key: str, lo) -> None:
+    """ConfigError naming config.params.<key> unless
+    lo <= params[key] <= MAX_COUNT."""
+    if not lo <= params[key] <= MAX_COUNT:
+        raise ConfigError(f"config.params.{key}: must be in {lo} .. {MAX_COUNT}, "
+                          f"got {params[key]!r}")
 
 
 def _nonempty(params: dict, key: str) -> None:
@@ -481,9 +486,9 @@ def _run_time_scales(params: dict) -> ScenarioResult:
     n_states=1000, d_min=2, d_max=16, seed=1,
 )
 def _run_qft_roundtrip(params: dict) -> ScenarioResult:
-    _at_least(params, "n_states", 1)
-    _at_least(params, "d_min", 2)
-    _at_least(params, "d_max", params["d_min"])
+    _in_range(params, "n_states", 1)
+    _in_range(params, "d_min", 2)
+    _in_range(params, "d_max", params["d_min"])
     rng = np.random.default_rng(params["seed"])
     worst_round = worst_parseval = worst_unitary = 0.0
     for d in range(int(params["d_min"]), int(params["d_max"]) + 1):
@@ -520,7 +525,7 @@ def _run_qft_roundtrip(params: dict) -> ScenarioResult:
 )
 def _run_shift_gate(params: dict) -> ScenarioResult:
     _nonempty(params, "ds")
-    _at_least(params, "n_states", 1)
+    _in_range(params, "n_states", 1)
     rng = np.random.default_rng(params["seed"])
     nbar = int(params["nbar"])
     worst_perm = worst_delta = 0.0
@@ -563,7 +568,7 @@ def _run_shift_gate(params: dict) -> ScenarioResult:
     nbar=180, d=8, n_pairs=100, seed=3,
 )
 def _run_kernel_identity(params: dict) -> ScenarioResult:
-    _at_least(params, "n_pairs", 1)
+    _in_range(params, "n_pairs", 1)
     spec = _spec_of(params["nbar"], params["d"])
     ts = time_scales(spec)
     rng = np.random.default_rng(params["seed"])
@@ -654,8 +659,7 @@ def _fig2_pipeline(params: dict, n_trace: int):
     nbar=180, d=8, fwhm_factor=0.5 * LN2, detuning=0.0, trace_points=161,
 )
 def _run_fig2(params: dict) -> ScenarioResult:
-    if params["trace_points"] < 2:
-        raise ConfigError("config.params.trace_points: must be >= 2")
+    _in_range(params, "trace_points", 2)
     spec, _, state, trace = _fig2_pipeline(params, n_trace=params["trace_points"])
     d = spec.d
     aligned = state.packet_amplitudes(aligned=True)
@@ -728,7 +732,7 @@ def _run_two_level_vs_full(params: dict) -> ScenarioResult:
 def _run_revival(params: dict) -> ScenarioResult:
     if not params["window"] > 0:
         raise ConfigError(f"config.params.window: must be > 0, got {params['window']!r}")
-    _at_least(params, "grid_per_kepler", 1)
+    _in_range(params, "grid_per_kepler", 1)
     spec = _spec_of(params["nbar"], params["d"])
     ts = time_scales(spec)
     b = packet_to_energy_matrix(spec.d)[:, spec.slot_index(0)]
@@ -738,13 +742,15 @@ def _run_revival(params: dict) -> ScenarioResult:
     per = int(params["grid_per_kepler"])
 
     def scan(t0: float, t1: float) -> TraceRecord:
-        # find_autocorr_peak refines over three samples
-        n = int(round((t1 - t0) / ts.t_kepler * per)) + 1
-        if n < 3:
+        # find_autocorr_peak refines over three samples; a window so wide
+        # that the count passes MAX_COUNT (or overflows) is clipped there
+        n = int(round(min((t1 - t0) / ts.t_kepler * per, MAX_COUNT))) + 1
+        if not 3 <= n <= MAX_COUNT:
             raise ConfigError(
-                f"config.params.grid_per_kepler: {per} per Kepler period gives {n} grid "
-                f"point(s) over {(t1 - t0) / ts.t_kepler:.6g} t_kepler; the peak search "
-                "needs >= 3 (raise grid_per_kepler or window)")
+                f"config.params.grid_per_kepler: {per} per Kepler period gives "
+                f"{n if n <= MAX_COUNT else 'too many'} grid point(s) over "
+                f"{(t1 - t0) / ts.t_kepler:.6g} t_kepler; the peak search needs "
+                f"3 .. {MAX_COUNT} (change grid_per_kepler or window)")
         return revival_scan(spec, b, np.linspace(t0, t1, n))
 
     trace = scan((1.0 - w) * ts.t_revival, (1.0 + w) * ts.t_revival)
@@ -847,7 +853,7 @@ def _run_pulse_constraints(params: dict) -> ScenarioResult:
     nbar=180, d=4, haar_count=50, haar_dims=(2, 4, 8), seed=7,
 )
 def _run_compile_random(params: dict) -> ScenarioResult:
-    _at_least(params, "haar_count", 1)
+    _in_range(params, "haar_count", 1)
     _nonempty(params, "haar_dims")
     nbar = int(params["nbar"])
     rng = np.random.default_rng(params["seed"])
@@ -930,15 +936,11 @@ def _parse_initial_state(value, spec: ManifoldSpec) -> np.ndarray:
         vals = sub.get("values")
         if basis not in ("energy", "packet"):
             raise ConfigError(f"{where}.amplitudes.basis: 'energy' or 'packet'")
-        if not isinstance(vals, list) or len(vals) != d:
-            raise ConfigError(f"{where}.amplitudes.values: need {d} [re, im] pairs")
+        if not (isinstance(vals, list) and len(vals) == d and all(map(_is_pair, vals))):
+            raise ConfigError(f"{where}.amplitudes.values: need {d} [re, im] pairs, "
+                              "each a list of exactly two finite numbers")
         try:
-            arr = np.array([complex(p[0], p[1]) for p in vals])
-            amp = AmplitudeVector(basis=basis, values=arr)
-        except (TypeError, IndexError):
-            raise ConfigError(
-                f"{where}.amplitudes.values: entries must be [re, im] pairs"
-            ) from None
+            amp = AmplitudeVector(basis=basis, values=np.array([complex(*p) for p in vals]))
         except ValueError as e:
             raise ConfigError(f"{where}.amplitudes: {e}") from None
         return (iqft_packet_to_energy(amp) if basis == "packet" else amp).values
@@ -979,7 +981,7 @@ def _parse_pulse_event(sub: dict, spec: ManifoldSpec, clock: float, where: str) 
     target = sub.get("target", "g")
     if target not in ("g", "e"):
         raise ConfigError(f"{where}.target: 'g' or 'e'")
-    half = PulseSpec(fwhm=fwhm, peak_rabi=1.0).half_width
+    half = support_half_width(fwhm)
     if "center" in sub and "slot" in sub:
         raise ConfigError(f"{where}: give center or slot, not both")
     if "center" in sub:
@@ -1027,8 +1029,8 @@ def _run_declarative(cfg: dict) -> ScenarioResult:
     _check_keys(outputs, {"trace_points", "observables"}, "config.outputs")
     trace_points = _require_int(outputs.get("trace_points", 0),
                                 "config.outputs.trace_points")
-    if trace_points < 0:
-        raise ConfigError("config.outputs.trace_points: must be >= 0")
+    if not 0 <= trace_points <= MAX_COUNT:
+        raise ConfigError(f"config.outputs.trace_points: must be in 0 .. {MAX_COUNT}")
     if trace_points == 1:
         raise ConfigError("config.outputs.trace_points: use 0 (off) or >= 2")
     requested = outputs.get("observables", [])

@@ -60,8 +60,14 @@ def test_amplitude_vector_validation():
     for bad in ([np.nan, 0.0, 0.0, 1.0], [np.inf, 0.0]):    # NaN compares false
         with pytest.raises(ValueError):
             AmplitudeVector(basis="packet", values=np.array(bad))
+    with pytest.raises(ValueError, match="at least 2 entries"):
+        AmplitudeVector(basis="packet", values=np.array([1.0]))
     v = AmplitudeVector(basis="packet", values=np.array([1.0, 0.0]))
     assert v.d == 2
+    with pytest.raises(ValueError, match="expected energy-basis"):
+        qft_energy_to_packet(v)
+    with pytest.raises(ValueError, match="expected packet-basis"):
+        iqft_packet_to_energy(AmplitudeVector(basis="energy", values=np.array([1.0, 0.0])))
     np.testing.assert_allclose(v.populations(), [1.0, 0.0])
 
 

@@ -483,6 +483,19 @@ def test_schedule_from_json_names_the_bad_number(kind, key, attr, value):
     assert [(type(v), v) for v in got] == [(float, 1.0), (int, 1)]
 
 
+@pytest.mark.parametrize("peak", [0.0, -0.0, -1.0])
+def test_schedule_from_json_needs_a_positive_peak(peak):
+    with pytest.raises(ValueError, match="peak_rabi_au must be positive"):
+        schedule_from_json(json.dumps(dict(_schedule_doc(), peak_rabi_au=peak)))
+
+
+def test_schedule_from_json_rejects_an_unknown_primitive():
+    doc = _schedule_doc()
+    doc["primitives"].append({"type": "laser_show"})
+    with pytest.raises(ValueError, match="unknown primitive type 'laser_show'"):
+        schedule_from_json(json.dumps(doc))
+
+
 def test_schedule_json_roundtrip():
     spec = _spec(4)
     sched = compile_unitary(_haar(4, 3), spec)
@@ -717,8 +730,8 @@ def test_compile_unitary_takes_the_fwhm_range_schedule_json_takes(d):
 
 @pytest.mark.parametrize("fwhm", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_schedule_clock_checks_the_pulse_fwhm(fwhm):
-    # the clock reads the half-width through a per-FWHM cache, which
-    # keeps PulseSpec's check of the FWHM
+    # the clock reads the half-width through a per-FWHM cache
+    # (pulse.support_half_width), which checks the FWHM as PulseSpec does
     good = GateSchedule(nbar=180, d=4, pulse_fwhm=2.5e5, peak_rabi=1.0,
                         primitives=[ManifoldPiPulse(0, "g")])
     assert good.duration() == 2.0 * PulseSpec(fwhm=2.5e5, peak_rabi=1.0).half_width
@@ -1140,6 +1153,10 @@ def test_run_program_rejects_bad_items():
     assert err.value.index == 1
     with pytest.raises(ValueError):
         run_program(start, [], n_trace=1)
+    empty = SimulationState(spec, np.full(4, 0.5, dtype=complex))
+    with pytest.raises(ProgramError, match="schedule is for") as err:   # another manifold
+        run_program(empty, [Wait(1.0), compile_unitary(_haar(8, 3), _spec(8))])
+    assert err.value.index == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1148,7 +1165,7 @@ def test_run_program_rejects_bad_items():
 
 _CACHES = (basis_mod._dft_matrix, manifold_mod._time_scales, manifold_mod._detunings,
            gates_mod._probe_matrices, gates_mod._swap_kernels, gates_mod._identity,
-           gates_mod._half_width, gates_mod._pi_peak_rabi, pulse_mod._propagator)
+           pulse_mod.support_half_width, gates_mod._pi_peak_rabi, pulse_mod._propagator)
 
 
 def _clear_caches():

@@ -105,6 +105,8 @@ def test_detunings_dispatch():
         assert detunings(spec, mode).shape == (D,)
     with pytest.raises(ValueError):
         detunings(spec, "cubic")
+    with pytest.raises(ValueError, match="taylor order must be 1, 2 or 3, got 4"):
+        taylor_detunings(spec, 4)
 
 
 def test_nbar_upper_bound():

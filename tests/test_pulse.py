@@ -19,7 +19,9 @@ from rydpacket.basis import packet_amplitudes_at, packet_to_energy_matrix
 from rydpacket.constants import LN2
 from rydpacket.manifold import SPECTRUM_MODES, detunings
 from rydpacket.pulse import (
+    ATOL,
     FWHM_RANGE_KEPLER,
+    RTOL,
     Coupling,
     PulseSpec,
     _solve_pulse,
@@ -535,12 +537,12 @@ def _dop853(coupling, t_span, y0, t_eval=None):
     return ref.y.reshape(np.shape(y0) + (len(t_eval),))
 
 
-def _error_norms(coupling, t, y, rtol, atol):
+def _error_norms(coupling, t, y):
     """RMS error norm of every step of a solve_ivp grid t with states y
     (y0.shape + (len(t),)), recomputed from the step operators."""
     _, err_ops, _ = _step_operators(coupling, t[:-1], np.diff(t))
     Y = np.moveaxis(y, -1, 0).reshape(len(t), y.shape[0], -1)
-    scale = atol + rtol * np.maximum(np.abs(Y[:-1]), np.abs(Y[1:]))
+    scale = ATOL + RTOL * np.maximum(np.abs(Y[:-1]), np.abs(Y[1:]))
     err = (err_ops @ Y[:-1]) / scale
     return np.sqrt(np.mean(np.abs(err.reshape(len(t) - 1, -1)) ** 2, axis=1))
 
@@ -601,7 +603,7 @@ def test_solve_ivp_matches_dop853_and_accepts_every_step(
         assert (got.t[0], got.t[-1]) == t_span
         assert got.nfev >= 2 + 6 * (len(got.t) - 1)
         assert np.max(np.abs(got.y[..., -1] - _dop853(coupling, t_span, y0)[..., -1])) <= 1e-10
-        assert np.max(_error_norms(coupling, got.t, got.y, kwargs["rtol"], kwargs["atol"])) < 1
+        assert np.max(_error_norms(coupling, got.t, got.y)) < 1
         if kwargs["dense_output"]:
             t_eval = np.linspace(*t_span, 37)
             assert np.max(np.abs(got.sol(t_eval) - _dop853(coupling, t_span, y0, t_eval))) <= 1e-10
@@ -672,8 +674,7 @@ def test_solve_ivp_stops_on_nan_rhs():
     # scipy's RK45 loops forever when the first derivative is NaN (its
     # initial step is NaN); this stepper fails at once
     y0 = np.ones(3, dtype=complex)
-    sol = solve_ivp(_flat([np.nan, 1.0], [1.0, 2.0]), (0.0, 1.0), y0,
-                    rtol=1e-10, atol=1e-12, max_step=0.01)
+    sol = solve_ivp(_flat([np.nan, 1.0], [1.0, 2.0]), (0.0, 1.0), y0, max_step=0.01)
     assert not sol.success
     assert "step size" in sol.message
     assert sol.t.tolist() == [0.0]
@@ -688,8 +689,7 @@ def test_solve_ivp_fails_on_overflowing_first_step():
     # a derivative that overflows makes the initial step 0; that ends the run
     # with success False (it used to divide by zero)
     y0 = np.ones(3, dtype=complex)
-    sol = solve_ivp(_flat([1e308, 1e308], [1.0, 2.0]), (0.0, 1.0), y0,
-                    rtol=1e-10, atol=1e-12, max_step=0.01)
+    sol = solve_ivp(_flat([1e308, 1e308], [1.0, 2.0]), (0.0, 1.0), y0, max_step=0.01)
     assert (sol.success, sol.t.tolist(), sol.nfev) == (False, [0.0], 2)
     assert "step size" in sol.message
     # the pulse of a declarative `area: 1.0e+308` event, run past the config check
@@ -705,8 +705,7 @@ def test_solve_ivp_grid_ramps_to_the_cap():
     # zero derivative: scipy's smallest first step, no error, x10 growth to
     # the cap, then steps of the cap summed in order, the last cut at t1
     y0 = np.ones(3, dtype=complex)
-    sol = solve_ivp(_flat([0.0, 0.0], [1.0, -1.0]), (0.0, 1.0), y0, rtol=1e-10, atol=1e-12,
-                    max_step=0.01)
+    sol = solve_ivp(_flat([0.0, 0.0], [1.0, -1.0]), (0.0, 1.0), y0, max_step=0.01)
     assert sol.success
     h = np.diff(sol.t)
     np.testing.assert_allclose(h[:4], [1e-6, 1e-5, 1e-4, 1e-3], rtol=1e-9)
@@ -716,8 +715,7 @@ def test_solve_ivp_grid_ramps_to_the_cap():
     assert sol.nfev == 2 + 6 * len(h)
     np.testing.assert_array_equal(sol.y, 1.0)
     # weak enough that one step covers the interval
-    sol = solve_ivp(_flat([1e-14, 1e-14], [1.0, -1.0]), (0.0, 1.0), y0, rtol=1e-10, atol=1e-12,
-                    max_step=math.inf)
+    sol = solve_ivp(_flat([1e-14, 1e-14], [1.0, -1.0]), (0.0, 1.0), y0, max_step=math.inf)
     assert sol.success and sol.t.tolist() == [0.0, 1.0] and sol.nfev == 8
 
 
@@ -727,8 +725,7 @@ def test_solve_ivp_fails_on_nan_midway():
     # the detuning phase overflows to NaN after t = 1: a NaN error norm ends
     # the run with success False, not with a NaN state
     y0 = np.ones(3, dtype=complex)
-    sol = solve_ivp(_flat([1e-20, 1e-20], [1.7e308, 1.0]), (0.0, 2.0), y0,
-                    rtol=1e-10, atol=1e-12, max_step=0.05)
+    sol = solve_ivp(_flat([1e-20, 1e-20], [1.7e308, 1.0]), (0.0, 2.0), y0, max_step=0.05)
     assert (sol.success, sol.t.tolist(), sol.sol) == (False, [0.0], None)
     assert "not finite" in sol.message
     np.testing.assert_array_equal(sol.y[:, -1], y0)
@@ -740,6 +737,41 @@ def test_solve_ivp_fails_on_nan_midway():
     state = SimulationState(spec=spec, b_energy=np.full(2, 0.5 ** 0.5, dtype=complex), t=0.0)
     with pytest.raises(RuntimeError, match="pulse integration failed"):
         integrate_pulse(state, pulse)
+
+
+def test_solve_ivp_rejects_bad_calls():
+    y0 = np.ones(3, dtype=complex)
+    for t_span in ((1.0, 0.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="t_span must be increasing"):
+            solve_ivp(_flat([1.0, 1.0], [1.0, -1.0]), t_span, y0, max_step=0.01)
+    with pytest.raises(ValueError, match="dense output needs a state vector"):
+        solve_ivp(_flat([1.0, 1.0], [1.0, -1.0]), (0.0, 1.0), np.eye(3), max_step=0.01,
+                  dense_output=True)
+
+
+@pytest.mark.parametrize("bad", ["nan", "off-unitary"])
+def test_pulse_propagator_rejects_an_off_unitary_solve_and_caches_nothing(bad):
+    # a solve that reports success with a NaN or non-unitary X fails the
+    # 1e-8 unitarity check of U0 = X^T X; the failure is not cached, so the
+    # next call solves afresh
+    spec, fwhm, rabi = _gate_pulse(4)
+    pulse = PulseSpec(fwhm=fwhm, peak_rabi=rabi)
+    X = np.full((5, 5), np.nan + 0j) if bad == "nan" else 1.01 * np.eye(5, dtype=complex)
+
+    def bad_solve(coupling, t_span, y0, **kwargs):
+        return SimpleNamespace(t=np.array(t_span), y=np.stack((y0, X), axis=-1),
+                               nfev=8, success=True, message="", sol=None)
+
+    pulse_mod._propagator.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pulse_mod, "solve_ivp", bad_solve)
+        with pytest.raises(RuntimeError, match="pulse propagator is off unitary by "
+                                               + ("nan" if bad == "nan" else "4.060e-02")):
+            pulse_propagator(spec, pulse)
+    assert pulse_mod._propagator.cache_info().currsize == 0
+    U0 = pulse_propagator(spec, pulse)
+    assert pulse_mod._propagator.cache_info().misses == 2
+    assert np.max(np.abs(U0.conj().T @ U0 - np.eye(5))) <= 1e-8
 
 
 def test_integrate_pulse_rejects_a_nan_state():

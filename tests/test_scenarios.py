@@ -8,18 +8,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from rydpacket import ManifoldSpec, cli, list_scenarios, run_scenario, time_scales
 from rydpacket.basis import packet_to_energy_matrix
 from rydpacket.cli import main
-from rydpacket.constants import LN2, TIME_UNITS
-from rydpacket.gates import random_two_level_unitary, schedule_from_json
+from rydpacket.constants import LN2, TIME_UNITS, is_finite_number
+from rydpacket.gates import decompose_unitary, random_two_level_unitary, schedule_from_json
 from rydpacket.manifold import MAX_NBAR, SPECTRUM_MODES
 from rydpacket.pulse import FWHM_RANGE_KEPLER, MAX_PULSE_AREA, PulseSpec, pi_pulse_peak_rabi
 from rydpacket.scenarios import (
+    MAX_COUNT,
     ConfigError,
     ScenarioError,
+    _in_range,
     _parse_initial_state,
     _parse_pulse_event,
     describe,
@@ -553,13 +557,16 @@ def test_cli_compile_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("bad", ["non-utf8", "directory"])
+@pytest.mark.parametrize("bad", ["non-utf8", "directory", "not-json"])
 @pytest.mark.parametrize("entry", ["run", "gate-file", "compile", "verify"])
 def test_cli_unreadable_input_is_config_error(tmp_path, capsys, entry, bad):
-    # each once ended in a UnicodeDecodeError or IsADirectoryError traceback
+    # non-UTF-8 text and a directory each once ended in a
+    # UnicodeDecodeError or IsADirectoryError traceback
     path = tmp_path / "input"
     if bad == "directory":
         path.mkdir()
+    elif bad == "not-json":
+        path.write_text("[[1, 0], [0, 1]")    # neither JSON nor YAML
     else:
         path.write_bytes(b"caf\xe9\n")       # Latin-1
     if entry == "run":
@@ -868,7 +875,19 @@ def test_pulse_area_edge_gives_a_peak_schedule_json_accepts():
     ("fig2_dark_packet", "{fwhm_factor: 0.0}", "fwhm_factor"),        # once a traceback
     ("two_level_vs_full", "{fwhm_factor: -1.0}", "fwhm_factor"),
     ("pulse_constraints", "{fwhm_factor: 0.0}", "fwhm_factor"),
-], ids=lambda v: re.sub(r"[{} ]", "", str(v)))
+    # counts that size arrays are bounded by MAX_COUNT; 1e400 states once
+    # ended in numpy's "Maximum allowed dimension exceeded" traceback
+    ("qft_roundtrip", "{n_states: 1%s}" % ("0" * 400), "n_states"),
+    ("qft_roundtrip", "{n_states: 1000001}", "n_states"),
+    ("qft_roundtrip", "{d_max: 1000001}", "d_max"),
+    ("shift_gate_demo", "{n_states: 1000001}", "n_states"),
+    ("kernel_identity", "{n_pairs: 1000001}", "n_pairs"),
+    ("compile_random_unitary", "{haar_count: 1000001}", "haar_count"),
+    ("revival_recovery", "{grid_per_kepler: 1000001}", "grid_per_kepler"),
+    ("revival_recovery", "{window: 1.0e+300}", "grid_per_kepler"),    # once an OverflowError
+    ("fig2_dark_packet", "{trace_points: 1000001}", "trace_points"),
+    ("fig2_dark_packet", "{trace_points: 1}", "trace_points"),
+], ids=lambda v: re.sub(r"[{} ]", "", str(v))[:40])
 def test_named_scenario_param_out_of_bounds_is_a_config_error(tmp_path, capsys,
                                                               scenario, params, key):
     path = tmp_path / "cfg.yaml"
@@ -899,3 +918,218 @@ def test_config_error_says_what_it_received(tmp_path, capsys, text, said):
     path.write_text(text)
     assert main(["run", str(path)]) == 2
     assert said in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one finite-number rule for every input reader, and bounded counts
+
+_BIG = 10**400      # an int beyond the float range
+
+
+def _amplitudes(values):
+    return _decl(d=len(values), events=[],
+                 initial_state={"amplitudes": {"basis": "packet", "values": values}})
+
+
+@pytest.mark.parametrize("case", ["compile-unitary", "verify-schedule", "verify-unitary",
+                                  "run-gate-unitary", "run-amplitudes", "amplitudes-bool",
+                                  "amplitudes-three-numbers"])
+def test_cli_rejects_what_is_not_a_finite_number(tmp_path, capsys, case):
+    # the first five once ended in an OverflowError traceback (exit 1); the
+    # last two ran as if the pairs read [1, 0], [0, 0] (exit 0)
+    sfile, ufile, doc = _compiled_schedule(tmp_path)
+    bad_u = tmp_path / "bad_u.json"
+    rows = json.loads(ufile.read_text())
+    rows[0][0] = _BIG
+    bad_u.write_text(json.dumps(rows))
+    gate = np.eye(4).tolist()
+    gate[1][1] = _BIG
+    configs = {
+        "run-gate-unitary": _decl(d=4, initial_state={"packet": 0},
+                                  events=[{"gate": {"unitary": gate}}]),
+        "run-amplitudes": _amplitudes([[_BIG, 0], [0, 0], [0, 0], [1, 0]]),
+        "amplitudes-bool": _amplitudes([[True, 0], [0, False]]),
+        "amplitudes-three-numbers": _amplitudes([[1, 0, 5], [0, 0]]),
+    }
+    if case in configs:
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(configs[case]))
+        argv = ["run", str(path)]
+    elif case == "verify-schedule":
+        next(p for p in doc["primitives"] if p["type"] == "wait")["duration_au"] = _BIG
+        sfile.write_text(json.dumps(doc))
+        argv = ["verify", str(sfile), str(ufile)]
+    else:
+        argv = ["compile", str(bad_u)] if case == "compile-unitary" else [
+            "verify", str(sfile), str(bad_u)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("digits", ["json", "yaml"])
+def test_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys, digits):
+    # Python refuses to read an int of more than 4300 digits; the JSON and
+    # YAML readers once let that ValueError out as a traceback
+    if digits == "json":
+        path = tmp_path / "u.json"
+        path.write_text("[[" + "9" * 5000 + "]]")
+        argv = ["compile", str(path)]
+    else:
+        path = tmp_path / "cfg.yaml"
+        path.write_text("scenario: kernel_identity\nparams: {n_pairs: " + "9" * 5000 + "}\n")
+        argv = ["run", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: not valid")
+
+
+# adversarial input values: ints far past the float range, bools,
+# non-finite floats, numeric strings, None and short lists of numbers
+_ADVERSARIAL = st.one_of(
+    st.integers(-10**400, 10**400),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.one_of(st.floats().map(repr), st.integers(-10**400, 10**400).map(str),
+              st.sampled_from(["nan", "inf", "1e-9", "1.0 ns", "-inf kepler"])),
+    st.none(),
+    st.lists(st.one_of(st.integers(-10**400, 10**400), st.floats(), st.booleans()),
+             min_size=1, max_size=3),
+)
+_SCHEDULE_FIELDS = [(None, "pulse_fwhm_au"), (None, "peak_rabi_au"),
+                    (None, "recorded_global_phase"), ("wait", "duration_au"),
+                    ("manifold_pi_pulse", "phase"), ("storage_pulse", "theta")]
+
+
+def _read_unitary_entry(value):
+    # read, then checked for unitarity as compile and verify check it (d = 2
+    # on Python scalars, d = 3 with numpy)
+    for rows in ([[value, 0.0], [0.0, 1.0]], [[value, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        U = unitary_from_obj(rows)
+        decompose_unitary(U, ManifoldSpec(nbar=180, d=len(U)))
+    return is_finite_number(value) or (
+        isinstance(value, list) and len(value) == 2 and all(map(is_finite_number, value)))
+
+
+def _read_amplitude_pair(value):
+    # a list is the pair itself, anything else its real part
+    pair = value if isinstance(value, list) else [value, 0.0]
+    _parse_initial_state({"amplitudes": {"basis": "energy", "values": [pair, [0, 0]]}},
+                         ManifoldSpec(nbar=180, d=2))
+    return len(pair) == 2 and all(map(is_finite_number, pair))
+
+
+_SCHEDULE_JSON = json.dumps({
+    "nbar": 180, "d": 4, "pulse_fwhm_au": 2.5e5, "peak_rabi_au": 1e-5,
+    "primitives": [{"type": "wait", "duration_au": 1.0},
+                   {"type": "manifold_pi_pulse", "slot": 0, "target": "g", "phase": 0.0},
+                   {"type": "storage_pulse", "theta": 0.1, "phi": 0.0, "detuning_area": 0.0,
+                    "phase_g": 0.0, "phase_e": 0.0}]})
+
+
+def _read_schedule_field(value, field):
+    kind, key = field
+    doc = json.loads(_SCHEDULE_JSON)
+    obj = doc if kind is None else next(p for p in doc["primitives"] if p["type"] == kind)
+    obj[key] = value
+    schedule_from_json(json.dumps(doc))
+    return is_finite_number(value)
+
+
+def _read_quantity(value):
+    parse_quantity(value, "where", ManifoldSpec(nbar=180, d=4))
+    return is_finite_number(value) or isinstance(value, str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_ADVERSARIAL, reader=st.sampled_from(["unitary", "amplitude", "schedule",
+                                                   "quantity"]),
+       field=st.sampled_from(_SCHEDULE_FIELDS))
+def test_input_readers_accept_a_value_or_raise_a_config_error(value, reader, field):
+    # each reader either accepts the value (and then it is a finite
+    # number, or a pair of them where a pair is read) or raises
+    # ConfigError / ValueError, never another exception
+    read = {"unitary": _read_unitary_entry, "amplitude": _read_amplitude_pair,
+            "schedule": lambda v: _read_schedule_field(v, field),
+            "quantity": _read_quantity}[reader]
+    try:
+        accepted_as_number = read(value)
+    except ValueError:      # ConfigError is one
+        return
+    assert accepted_as_number
+
+
+def test_count_bound_itself_is_accepted():
+    _in_range({"n": MAX_COUNT}, "n", 1)
+    with pytest.raises(ConfigError, match=r"config.params.n: must be in 1 \.\. 1000000"):
+        _in_range({"n": MAX_COUNT + 1}, "n", 1)
+
+
+# ---------------------------------------------------------------------------
+# config rejections no other test reaches
+
+_NO_FWHM = {"pulse": {"area": "pi"}}
+_PULSE = {"fwhm": "0.02 kepler", "area": "pi"}
+
+
+@pytest.mark.parametrize("cfg, said", [
+    ({"manifold": [180, 8], "initial_state": "uniform_packet"},
+     "config.manifold: expected a mapping"),
+    ({"scenario": "time_scales", "params": [180]}, "config.params: expected a mapping"),
+    (_decl(initial_state="uniform_packet", outputs=[1]), "config.outputs: expected a mapping"),
+    (_decl(initial_state="uniform_packet", events=[5]), "config.events[0]: expected a mapping"),
+    (_decl(initial_state="uniform_packet", events={"wait": 1.0}),
+     "config.events: expected a list"),
+    (_decl(initial_state="uniform_packet", outputs={"observables": "autocorrelation"}),
+     "config.outputs.observables: expected a list"),
+    (_decl(initial_state="uniform_packet", outputs={"trace_points": -1}),
+     "config.outputs.trace_points: must be in 0 .. 1000000"),
+    (_decl(initial_state="uniform_packet", outputs={"trace_points": MAX_COUNT + 1}),
+     "config.outputs.trace_points: must be in 0 .. 1000000"),
+    (_decl(events=[]), "config.initial_state: required"),
+    (_decl(d=4, events=[], initial_state={"amplitudes": {
+        "basis": "packet", "values": [[1, 0]] * 3}}), "need 4 [re, im] pairs"),
+    (_decl(d=4, events=[], initial_state={"amplitudes": {
+        "basis": "packet", "values": [[1, 0]] * 4}}), "amplitudes not normalized"),
+    (_decl(initial_state="uniform_packet", events=[_NO_FWHM]),
+     "config.events[0]: fwhm is required"),
+    (_decl(initial_state="uniform_packet", events=[{"pulse": dict(_PULSE, target="x")}]),
+     "config.events[0].target: 'g' or 'e'"),
+    (_decl(initial_state="uniform_packet", events=[{"pulse": dict(_PULSE, slot=99)}]),
+     "config.events[0].slot: 99 not in"),
+    (_decl(initial_state="uniform_packet", events=[{"pulse": dict(_PULSE, slot=1.5)}]),
+     "config.events[0].slot: expected an integer"),
+    ({"scenario": "fig2_dark_packet", "params": {"fwhm_factor": 1.0}},
+     "config.params.fwhm_factor: too large, the pulse support swallows the lead-in"),
+    ({"scenario": "dispersion_nbar_scaling", "params": {"nbars": [360, 180]}},
+     "config.params.nbars: need an ascending list"),
+], ids=["manifold", "params", "outputs", "event", "events", "observables", "trace-points",
+        "trace-points-bound", "initial-state", "amplitude-count", "amplitude-norm", "fwhm",
+        "target", "slot", "slot-type", "lead-in", "nbars"])
+def test_config_rejection_names_the_field(cfg, said):
+    with pytest.raises(ConfigError) as err:
+        run_scenario(cfg)
+    assert said in str(err.value)
+
+
+def test_cli_trace_of_a_scenario_without_one(tmp_path, capsys):
+    assert main(["run", "time_scales", "--trace", str(tmp_path / "t.csv")]) == 2
+    assert "config error: time_scales produced no trace" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_cli_compile_into_a_missing_directory(tmp_path, capsys):
+    _, ufile, _ = _compiled_schedule(tmp_path)
+    capsys.readouterr()
+    assert main(["compile", str(ufile), "-o", str(tmp_path / "no" / "s.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_cli_gate_after_a_pulse_into_storage_is_a_failed_run(tmp_path, capsys):
+    # a valid config whose program fails as it runs: exit 1, not 2
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(_decl(d=4, initial_state={"packet": 0}, events=[
+        {"pulse": {"fwhm": "0.02 kepler", "area": "pi", "slot": 0}},
+        {"gate": {"unitary": np.eye(4).tolist()}}])))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "run failed: config.events[1]: ") 
