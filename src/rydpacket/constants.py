@@ -4,7 +4,8 @@ All internal physics is done in Hartree atomic units (hbar = m_e = e =
 4 pi eps0 = 1).  Energies and angular frequencies share the same unit;
 times are atomic time units.  Conversions below are used only at the
 reporting and config-parsing boundaries, where is_finite_number decides
-which numbers an input file may hold.
+which numbers an input file may hold and input_repr shows a rejected
+value.
 """
 
 import math
@@ -38,3 +39,18 @@ def is_finite_number(value) -> bool:
         return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
     except OverflowError:       # an int too large for a float
         return False
+
+
+# An integer of more digits than this is shown by its digit count in an
+# error message (a 64-bit integer has at most 19 digits)
+SHOWN_DIGITS = 20
+
+
+def input_repr(value) -> str:
+    """repr of an input value for an error message; an int (not a bool) of
+    more than SHOWN_DIGITS digits reads 'an integer of <n> digits'."""
+    if type(value) is int:
+        digits = len(str(abs(value)))
+        if digits > SHOWN_DIGITS:
+            return f"an integer of {digits} digits"
+    return repr(value)

@@ -98,7 +98,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .basis import energy_to_packet_matrix
-from .constants import AU_TIME_NS, LN2, is_finite_number
+from .constants import AU_TIME_NS, LN2, input_repr, is_finite_number
 from .manifold import CACHE_SIZE, ManifoldSpec, detunings, time_scales
 from .pulse import (
     PulseSpec,
@@ -521,14 +521,14 @@ def _json_number(obj: dict, key: str):
     if type(v) is float and math.isfinite(v):   # what schedule_to_json writes
         return v
     if not is_finite_number(v):
-        raise ValueError(f"{key} must be a finite number, got {v!r}")
+        raise ValueError(f"{key} must be a finite number, got {input_repr(v)}")
     return v
 
 
 def _json_int(obj: dict, key: str) -> int:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"{key} must be an integer, got {v!r}")
+        raise ValueError(f"{key} must be an integer, got {input_repr(v)}")
     return v
 
 

@@ -55,7 +55,16 @@ dense output, on one step grid fixed before the first step.  The pair's
 embedded error estimate accepts the grid whole, or shrinks its largest
 step and the solve starts again.  The ODE is linear, so each step is a
 matrix; the stepper builds the matrices of a batch of steps in a few
-array operations.  scipy is not needed at run time.
+array operations.  The time-shift covariance above holds inside a step
+too: a stage coupling at t + c h is the envelope there times the level
+phases e^{-i Delta_j t} at the step start times a factor that depends on
+c h alone, and a grid has a few distinct step sizes.  So a batch takes
+one complex exponential per step and level, and the stage products and
+the rest per distinct step size; the stage coefficients follow by
+forward substitution through the Butcher tableau, and the error
+estimate is the error weights applied to each step's stage values once
+the states are known, with no second matrix per step.  scipy is not
+needed at run time.
 """
 
 import functools
@@ -443,14 +452,17 @@ _P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ])
+# The stages' distinct time offsets (c_5 = c_6 = 1 share one) and each
+# stage's index among them
+_C_OFFSETS, _C_INDEX = np.unique(_C, return_inverse=True)
 # Stage i's storage derivative starts from p_i = u_i . y_L, coordinate
-# min(i + 1, 6) of z = (y_s, p_0, ..., p_5) (u_6 = u_5); its storage
-# value starts from y_s, coordinate 0.
-_KAPPA0 = np.eye(7, k=1)
-_KAPPA0[6, 6] = 1.0
-_SIGMA0 = np.zeros((7, 7))
-_SIGMA0[:, 0] = 1.0
-_A_KAPPA0 = _A @ _KAPPA0
+# min(i + 1, 6) of z = (y_s, p_0, ..., p_5) (u_6 = u_5)
+_KAPPA_COORD = np.minimum(np.arange(7) + 1, 6)
+# The 20 nonzero entries a_ij of _A; row i of the tableau is entries
+# _A_ROWS[i - 1] of them
+_AI, _AJ = np.nonzero(_A)
+_A_NZ = _A[_AI, _AJ]
+_A_ROWS = [slice(*np.searchsorted(_AI, [i, i + 1])) for i in range(1, 7)]
 # scipy RK45's step controller: its step growth (x10 at most) sets the
 # grid's ramp, its factor for a failed step shrinks the grid's cap
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -500,48 +512,74 @@ def _grid(t0: float, t1: float, h0: float, cap: float) -> np.ndarray:
 
 
 def _step_operators(cp: Coupling, t: np.ndarray, h: np.ndarray):
-    """Step matrices M_k (y_k+1 = M_k y_k) and error matrices of the
-    steps (t_k, t_k + h_k), plus what the dense output needs.
+    """Step matrices M_k (y_k+1 = M_k y_k) of the steps (t_k, t_k + h_k),
+    the error weights E_k (the error estimate of step k is E_k z_k, see
+    _stage_values) and the stage parts the dense output needs.
 
     Every stage value and derivative is linear in the 7 coordinates
     z = (y_s, u_0 . y_L, ..., u_5 . y_L) with u_i = u(t + c_i h): the
-    stages' storage values sigma = S z and storage derivatives
-    kappa = K z obey sigma = SIGMA0 + h A kappa and
-    kappa = KAPPA0 + h (A o G) sigma with G_ij = u_i . v_j, and the level
-    part of stage i's derivative is v_i sigma_i.  So M = I + T R, where
-    z = R y and T holds the stage sums; the same holds for the error.
+    stages' storage values sigma = S z and storage increments
+    h kappa = K z obey sigma_i = z_0 + sum_j a_ij (K z)_j and
+    (K z)_i = h p_i + h^2 sum_j a_ij G_ij sigma_j, with G_ij = u_i . v_j;
+    the level part of stage i's derivative is v_i sigma_i.  S and K
+    follow by forward substitution over the 20 nonzero a_ij, the step
+    axis last.  So M = I + T R, where z = R y and T holds the stage sums
+    of the solution weights; E holds those of the error weights.
+
+    The couplings are covariant under a time shift:
+    u_i = f_i w_in e^{-i deltas t} e^{-i deltas c_i h}, f_i the envelope
+    at t + c_i h, so G_ij = f_i f_j (w_in e^{-i deltas c_i h}) .
+    (w_out e^{+i deltas c_j h}) depends on the step size alone.  That
+    takes one exponential per step and level, and the rest per distinct
+    step size (a grid has a few: the ramp, the cap and the last step).
     """
     N, m = len(h), cp.deltas.size
-    u, v = _couplings(cp, t[:, None] + _C * h[:, None])          # (N, 7, m)
-    hh = h[:, None, None]
-    AG = _A * (u @ v.swapaxes(1, 2))
-    # (I - X) S = SIGMA0 + h A KAPPA0 with X = h^2 A (A o G) strictly lower
-    # triangular, with X^4 = 0 (A and A o G both are), so the series is exact
-    B = _SIGMA0 + hh * _A_KAPPA0
-    X = (hh * hh) * (_A @ AG)
-    S = B + X @ (B + X @ (B + X @ B))
-    K = _KAPPA0 + hh * (AG @ S)
-    # T[k, r, w]: coefficients on z of row r of step k's increment of the
-    # solution (w = 0) or of the error estimate (w = 1)
-    T = np.empty((N, m + 1, 2, 7), dtype=complex)
-    T[:, 0] = _W @ K
-    T[:, 1:] = (v.swapaxes(1, 2) @ (_W.T[:, :, None] * S[:, :, None]).reshape(N, 7, 14)
-                ).reshape(N, m, 2, 7)
-    T *= hh[..., None]
-    R = np.zeros((N, 7, m + 1), dtype=complex)
-    R[:, 0, 0] = 1.0
-    R[:, 1:, 1:] = u[:, :6]
-    MM = (T.reshape(N, 2 * m + 2, 7) @ R).reshape(N, m + 1, 2, m + 1)
-    return MM[:, :, 0] + np.eye(m + 1), MM[:, :, 1], (R, S, K, v)
+    sizes, size_of = np.unique(h, return_inverse=True)
+    q = np.exp(-1j * cp.deltas * (sizes[:, None] * _C_OFFSETS)[..., None])[:, _C_INDEX]
+    g = (cp.w_in * q) @ (cp.w_out * q.conj()).swapaxes(1, 2)        # (sizes, 7, 7)
+    f = np.exp(cp.rate * (t + _C[:, None] * h - cp.center) ** 2)       # (7, N)
+    # h^2 a_ij G_ij of the nonzero a_ij, (20, N)
+    G = (h * h) * _A_NZ[:, None] * f[_AI] * f[_AJ] * g[:, _AI, _AJ].T[:, size_of]
+    S = np.zeros((7, 7, N), dtype=complex)
+    K = np.zeros((7, 7, N), dtype=complex)
+    S[:, 0] = 1.0
+    K[np.arange(7), _KAPPA_COORD] = h
+    for i, r in enumerate(_A_ROWS, 1):
+        j = _AJ[r]
+        S[i] += np.dot(_A_NZ[r], K[j].reshape(len(j), -1)).reshape(7, N)
+        K[i] += (G[r, None] * S[j]).sum(0)
+    e = np.exp(-1j * cp.deltas * t[:, None])                          # (N, m)
+    fq = f.T[..., None] * q[size_of]                                 # (N, 7, m)
+    u = (cp.w_in * e)[:, None] * fq[:, :6]
+    v = (cp.w_out * e.conj())[:, None] * fq.conj()
+    # T[k, r]: coefficients on z of row r of step k's increment of the
+    # solution (columns :7) and of the error estimate (columns 7:)
+    T = np.empty((N, m + 1, 14), dtype=complex)
+    T[:, 0] = np.dot(_W, K.reshape(7, -1)).reshape(14, N).T
+    hWS = (h * (_W[:, :, None, None] * S)).transpose(3, 1, 0, 2).reshape(N, 7, 14)
+    np.matmul(v.swapaxes(1, 2), hWS, out=T[:, 1:])
+    M = np.empty((N, m + 1, m + 1), dtype=complex)
+    M[:, :, 0] = T[:, :, 0]
+    np.matmul(T[:, :, 1:7], u, out=M[:, :, 1:])
+    M.reshape(N, -1)[:, ::m + 2] += 1.0                               # M = I + T R
+    return M, T[:, :, 7:], (u, S, K, v, h)
 
 
-def _dense_coefficients(parts, y: np.ndarray) -> np.ndarray:
+def _stage_values(parts, y: np.ndarray) -> np.ndarray:
+    """z_k = R_k y_k = (y_s, u_0 . y_L, ..., u_5 . y_L) of each step's start
+    state y (N, n, c), shaped (N, 7, c)."""
+    u = parts[0]
+    return np.concatenate((y[:, :1], u @ y[:, 1:]), axis=1)
+
+
+def _dense_coefficients(parts, z: np.ndarray) -> np.ndarray:
     """Shampine's interpolant coefficients Q (N, n, 4) of each step from
-    its start state y (N, n): y(t_k + x h) = y_k + h Q p(x), p = (x, .., x^4)."""
-    R, S, K, v = parts
-    z = R @ y[:, :, None]
-    kappa, sigma = K @ z, S @ z                                # (N, 7, 1)
-    return np.concatenate((kappa.swapaxes(1, 2), (v * sigma).swapaxes(1, 2)), axis=1) @ _P
+    its stage values z (N, 7, 1): y(t_k + x h) = y_k + Q p(x), p = (x, .., x^4)."""
+    _, S, K, v, h = parts
+    kz = np.einsum("icn,nc->ni", K, z[:, :, 0])                    # h kappa
+    sigma = np.einsum("icn,nc->ni", S, z[:, :, 0])
+    hv_sigma = h[:, None, None] * v * sigma[:, :, None]
+    return np.concatenate((kz[:, None], hv_sigma.swapaxes(1, 2)), axis=1) @ _P
 
 
 def solve_ivp(coupling: Coupling, t_span, y0, max_step, dense_output=False):
@@ -582,18 +620,19 @@ def solve_ivp(coupling: Coupling, t_span, y0, max_step, dense_output=False):
         for k in range(0, len(ts) - 1, _BATCH):
             edges = ts[k:k + _BATCH + 1]
             N = len(edges) - 1
-            M, err_ops, parts = _step_operators(coupling, edges[:-1], np.diff(edges))
+            M, E, parts = _step_operators(coupling, edges[:-1], np.diff(edges))
             yb = ys[k:k + N + 1]
             for Mk, yk, yk1 in zip(M, yb, yb[1:]):
                 np.dot(Mk, yk, out=yk1)
             Y = yb.reshape(N + 1, len(y0), -1)
             abs_Y = np.abs(Y)
-            errs = ((err_ops @ Y[:-1]) / (ATOL + np.maximum(abs_Y[:-1], abs_Y[1:]) * RTOL)
+            z = _stage_values(parts, Y[:-1])
+            errs = ((E @ z) / (ATOL + np.maximum(abs_Y[:-1], abs_Y[1:]) * RTOL)
                     ).reshape(N, -1).view(float)
             # the largest squared error norm so far; np.maximum keeps a NaN
             worst = np.maximum(worst, np.max(np.einsum("ki,ki->k", errs, errs)))
             if dense_output:
-                Qs.append(_dense_coefficients(parts, yb[:-1]))
+                Qs.append(_dense_coefficients(parts, z))
         nfev += 6 * (len(ts) - 1)
         worst = math.sqrt(worst / y0.size)
         if worst < 1:
@@ -621,7 +660,7 @@ class _DenseSolution:
         k = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.Qs) - 1)
         h = self.ts[k + 1] - self.ts[k]
         p = np.cumprod(np.tile((t - self.ts[k]) / h, (4, 1)), axis=0)
-        return h * np.einsum("knq,qk->nk", self.Qs[k], p) + self.ys[k].T
+        return np.einsum("knq,qk->nk", self.Qs[k], p) + self.ys[k].T
 
 
 def pulse_propagator(spec: ManifoldSpec, pulse: PulseSpec, mode: str = "exact") -> np.ndarray:

@@ -34,7 +34,7 @@ from .basis import (
     uniform_energy,
     uniform_packet,
 )
-from .constants import AU_TIME_NS, LN2, TIME_UNITS, is_finite_number
+from .constants import AU_TIME_NS, LN2, TIME_UNITS, input_repr, is_finite_number
 from .evolution import (
     TraceRecord,
     autocorrelation,
@@ -128,7 +128,7 @@ def _received(value) -> str:
         numeric = False
     if numeric:
         return f"the string {value!r} (YAML reads a number such as 1e-9 as text; write 1.0e-9)"
-    return repr(value)
+    return input_repr(value)
 
 
 def _finite(value, where: str) -> float:
@@ -420,7 +420,7 @@ def _in_range(params: dict, key: str, lo) -> None:
     lo <= params[key] <= MAX_COUNT."""
     if not lo <= params[key] <= MAX_COUNT:
         raise ConfigError(f"config.params.{key}: must be in {lo} .. {MAX_COUNT}, "
-                          f"got {params[key]!r}")
+                          f"got {_received(params[key])}")
 
 
 def _nonempty(params: dict, key: str) -> None:
@@ -730,8 +730,11 @@ def _run_two_level_vs_full(params: dict) -> ScenarioResult:
     nbar=180, d=8, window=0.02, grid_per_kepler=160,
 )
 def _run_revival(params: dict) -> ScenarioResult:
-    if not params["window"] > 0:
-        raise ConfigError(f"config.params.window: must be > 0, got {params['window']!r}")
+    # the scan runs over (1 -+ window) t_revival: a window of 1 or more
+    # starts it at or before t = 0, where the autocorrelation is 1
+    if not 0 < params["window"] < 1:
+        raise ConfigError(f"config.params.window: must be > 0 and < 1, "
+                          f"got {_received(params['window'])}")
     _in_range(params, "grid_per_kepler", 1)
     spec = _spec_of(params["nbar"], params["d"])
     ts = time_scales(spec)

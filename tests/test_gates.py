@@ -56,12 +56,14 @@ WAIT_ONE_PERIOD_FID_D8 = 0.9333572219416217    # Wait(t_kepler) vs identity, d =
 WAIT_REVIVAL_FID_D4 = 0.9739029028426681       # Wait(t_revival) vs identity, d = 4
 TWO_LEVEL_D4_FULL_FID = 0.9761740789170084     # compiled seed-7 block, d = 4
 # The three SHA-256 tables below were taken under OpenBLAS's SkylakeX
-# kernels (OPENBLAS_VERBOSE=2 prints "Core: SkylakeX").  Their inputs
-# (a LAPACK QR), the compile (zgemm row updates, a LAPACK det) and the
-# fold (a zgemm per pulse) round as the BLAS kernel does, so the digests
-# hold on that kernel only: under OPENBLAS_CORETYPE=Haswell 18 tests of
-# this file fail, and 19 under Nehalem, every one a digest test.  The
-# fidelities and every other frozen value pass under all three.
+# kernels (the pytest report header names the run's core; each digest
+# test's failure message repeats it).  Their inputs (a LAPACK QR), the
+# compile (zgemm row updates, a LAPACK det), the fold (a zgemm per pulse)
+# and, for exact/full, the pulse propagator's solve (batched step matrix
+# products) round as the BLAS kernel does, so the digests hold on that
+# kernel only: under OPENBLAS_CORETYPE=Haswell 18 tests of this file
+# fail, and 19 under Nehalem, every one a digest test.  The fidelities
+# and every other frozen value pass under all three.
 #
 # SHA-256 of schedule_to_json(compile_unitary(_haar(d, d))) at nbar = 180,
 # as json.dumps(doc, indent=2) wrote it (SkylakeX kernels)
@@ -92,11 +94,16 @@ SCHEDULE_OPERATOR_SHA256 = {
     ("taylor1", "ideal", 4): "20dd41b45d984cf92c04745778912aba0e2b8927e81d3ee796accb966f9ec950",
     ("taylor1", "ideal", 8): "b5561ee407108fe2641a298fc5e89efe83a8a0647ef0003a3b4322ae84443265",
     ("taylor1", "ideal", 16): "8e279b3257f3cf8bd78580ffdcf5acd930923bbc1402f26b2b66525ddb1bb32b",
-    ("exact", "full", 2): "016dd148bfabd0ecbfa7dc6a2eb05df7834313bb8cf1d55422af3c96cd5cf0a1",
-    ("exact", "full", 4): "01e110f638a6e1cdc5aa0611323389581ec2b915cc8a893e587da9ca8774543c",
-    ("exact", "full", 8): "2c3ad1bcf84d339018c09dd6afdd95ed1abeb639e3360a8899f34c7e6254f5f9",
-    ("exact", "full", 16): "f2d1968b169c8cdb9b530ca0e7262b61e520507902387a0efc79a360912ba87b",
+    ("exact", "full", 2): "122bd78670dfe2d948344d475f9d70e0051d97a94ad7897835105fc03aa4e0ca",
+    ("exact", "full", 4): "9681936c5b6567c5959d6b6217ab39df08b7ec2783dd98a9ab2df6944d712e05",
+    ("exact", "full", 8): "7ba09c79bd2b05f85f4e765c51ffb0e6aab87b1034fd241c0e19fe2e6c049285",
+    ("exact", "full", 16): "732cab8da729ed262c03fd4fd7080aec5046fcb479e869031fffbdbbff491d4f",
 }
+
+
+def _digest_kernel(core):
+    """Failure message of a digest test: the kernel it ran under."""
+    return f"digests frozen under OpenBLAS core SkylakeX; this run's core: {core}"
 
 
 def _haar(d, seed):
@@ -148,14 +155,14 @@ def test_decompose_haar_reconstructs(d):
 
 
 @pytest.mark.parametrize("kind, d", sorted(FACTOR_SHA256))
-def test_decompose_factors_are_frozen(kind, d):
+def test_decompose_factors_are_frozen(kind, d, blas_core):
     spec = _spec(d)
     U = _haar(d, d) if kind == "haar" else random_two_level_unitary(spec, d)
     h = hashlib.sha256()
     for op in decompose_unitary(U, spec):
         h.update(f"{op.k},{op.k2}:".encode())
         h.update(op.u2.tobytes())
-    assert h.hexdigest() == FACTOR_SHA256[kind, d]
+    assert h.hexdigest() == FACTOR_SHA256[kind, d], _digest_kernel(blas_core)
 
 
 def _unitarity_error(u):
@@ -684,18 +691,19 @@ def test_compiled_schedule_holds_one_object_per_distinct_primitive():
 
 
 @pytest.mark.parametrize("d", sorted(SCHEDULE_JSON_SHA256))
-def test_compiled_schedule_json_is_frozen(d):
+def test_compiled_schedule_json_is_frozen(d, blas_core):
     text = schedule_to_json(compile_unitary(_haar(d, d), _spec(d)))
-    assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_JSON_SHA256[d]
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_JSON_SHA256[d], (
+        _digest_kernel(blas_core))
 
 
 @pytest.mark.parametrize("mode, pulses, d", sorted(SCHEDULE_OPERATOR_SHA256))
-def test_compiled_schedule_operator_is_frozen(mode, pulses, d):
+def test_compiled_schedule_operator_is_frozen(mode, pulses, d, blas_core):
     M, t_end = schedule_operator(compile_unitary(_haar(d, d), _spec(d)), mode, pulses)
     order = np.r_[0, d + 1, 1:d + 1]
     h = hashlib.sha256(M[np.ix_(order, order)].tobytes())
     h.update(np.float64(t_end).tobytes())
-    assert h.hexdigest() == SCHEDULE_OPERATOR_SHA256[mode, pulses, d]
+    assert h.hexdigest() == SCHEDULE_OPERATOR_SHA256[mode, pulses, d], _digest_kernel(blas_core)
 
 
 def test_shift_targets_compile_to_free_flight():

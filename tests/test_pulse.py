@@ -25,6 +25,7 @@ from rydpacket.pulse import (
     Coupling,
     PulseSpec,
     _solve_pulse,
+    _stage_values,
     _step_operators,
     core_rabi_dft,
     integrate_pulse,
@@ -540,11 +541,73 @@ def _dop853(coupling, t_span, y0, t_eval=None):
 def _error_norms(coupling, t, y):
     """RMS error norm of every step of a solve_ivp grid t with states y
     (y0.shape + (len(t),)), recomputed from the step operators."""
-    _, err_ops, _ = _step_operators(coupling, t[:-1], np.diff(t))
+    _, E, parts = _step_operators(coupling, t[:-1], np.diff(t))
     Y = np.moveaxis(y, -1, 0).reshape(len(t), y.shape[0], -1)
     scale = ATOL + RTOL * np.maximum(np.abs(Y[:-1]), np.abs(Y[1:]))
-    err = (err_ops @ Y[:-1]) / scale
+    err = (E @ _stage_values(parts, Y[:-1])) / scale
     return np.sqrt(np.mean(np.abs(err.reshape(len(t) - 1, -1)) ** 2, axis=1))
+
+
+# The step operators in the series form solve_ivp used before they were
+# built from per-step-size constants: the reference of
+# test_step_operators_match_the_series_form.  Every stage value and
+# derivative is linear in z = (y_s, u_0 . y_L, ..., u_5 . y_L); the
+# stages' storage values S z and derivatives K z obey S = SIGMA0 + h A K
+# and K = KAPPA0 + h (A o G) S with G_ij = u_i . v_j, solved by the
+# series of the nilpotent X = h^2 A (A o G).
+_KAPPA0 = np.eye(7, k=1)
+_KAPPA0[6, 6] = 1.0
+_SIGMA0 = np.zeros((7, 7))
+_SIGMA0[:, 0] = 1.0
+_A_KAPPA0 = pulse_mod._A @ _KAPPA0
+
+
+def _series_step_operators(cp, t, h):
+    """Step matrices M (y_k+1 = M_k y_k) and error matrices (the error
+    estimate of step k is err_k y_k) of the steps (t_k, t_k + h_k)."""
+    N, m = len(h), cp.deltas.size
+    u, v = pulse_mod._couplings(cp, t[:, None] + pulse_mod._C * h[:, None])
+    hh = h[:, None, None]
+    AG = pulse_mod._A * (u @ v.swapaxes(1, 2))
+    B = _SIGMA0 + hh * _A_KAPPA0
+    X = (hh * hh) * (pulse_mod._A @ AG)
+    S = B + X @ (B + X @ (B + X @ B))
+    K = _KAPPA0 + hh * (AG @ S)
+    T = np.empty((N, m + 1, 2, 7), dtype=complex)
+    T[:, 0] = pulse_mod._W @ K
+    T[:, 1:] = (v.swapaxes(1, 2) @ (pulse_mod._W.T[:, :, None] * S[:, :, None]).reshape(N, 7, 14)
+                ).reshape(N, m, 2, 7)
+    T *= hh[..., None]
+    R = np.zeros((N, 7, m + 1), dtype=complex)
+    R[:, 0, 0] = 1.0
+    R[:, 1:, 1:] = u[:, :6]
+    MM = (T.reshape(N, 2 * m + 2, 7) @ R).reshape(N, m + 1, 2, m + 1)
+    return MM[:, :, 0] + np.eye(m + 1), MM[:, :, 1]
+
+
+def _series_solve(coupling, t_span, y0, max_step):
+    """solve_ivp's grid, acceptance and cap controller on the series-form
+    step operators: (grid, final state, nfev), or None for a failed solve."""
+    t0, t1 = t_span
+    h0 = pulse_mod._initial_step(coupling, t0, y0, t1, max_step)
+    cap, nfev = min(max_step, t1 - t0), 2
+    while h0 > 0 and cap >= 10 * math.ulp(max(abs(t0), abs(t1))):
+        ts = pulse_mod._grid(t0, t1, h0, cap)
+        M, err_ops = _series_step_operators(coupling, ts[:-1], np.diff(ts))
+        Y = [y0.reshape(len(y0), -1)]
+        for Mk in M:
+            Y.append(Mk @ Y[-1])
+        Y = np.array(Y)
+        scale = ATOL + RTOL * np.maximum(np.abs(Y[:-1]), np.abs(Y[1:]))
+        errs = ((err_ops @ Y[:-1]) / scale).reshape(len(M), -1).view(float)
+        worst = math.sqrt(np.max(np.einsum("ki,ki->k", errs, errs)) / y0.size)
+        nfev += 6 * len(M)
+        if worst < 1:
+            return ts, Y[-1].reshape(y0.shape), nfev
+        if not math.isfinite(worst):
+            return None
+        cap *= max(pulse_mod._MIN_FACTOR, pulse_mod._SAFETY * worst ** pulse_mod._ERROR_EXPONENT)
+    return None
 
 
 def _pulse_solves(spec, pulse, mode, v):
@@ -609,6 +672,56 @@ def test_solve_ivp_matches_dop853_and_accepts_every_step(
             assert np.max(np.abs(got.sol(t_eval) - _dop853(coupling, t_span, y0, t_eval))) <= 1e-10
         else:
             assert got.sol is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    d=st.integers(2, 16),
+    mode=st.sampled_from(SPECTRUM_MODES),
+    target=st.sampled_from(["g", "e"]),
+    center_kepler=st.floats(0.0, 20.0),
+    phase=st.floats(-10.0, 10.0),
+    detuning_steps=st.floats(-2.0, 2.0),
+    area_pi=st.floats(0.3, 3.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the state's first grid fails the error test and is shrunk
+@example(d=2, mode="exact", target="g", center_kepler=0.0, phase=0.0, detuning_steps=-0.5,
+         area_pi=3.5, seed=0)
+# the propagator's first grid fails the error test and is shrunk
+@example(d=2, mode="exact", target="e", center_kepler=3.0, phase=0.3, detuning_steps=1.3,
+         area_pi=3.0, seed=1)
+def test_step_operators_match_the_series_form(
+        d, mode, target, center_kepler, phase, detuning_steps, area_pi, seed):
+    # on every solve of integrate_pulse and a fresh pulse_propagator: the
+    # step matrices and error estimates of the accepted grid (its ramp
+    # steps included) within 1e-14 of the series form, the same step
+    # count and nfev as a solve on the series form, and the same grid
+    # bits wherever that solve accepted its first grid (a shrunk grid's
+    # cap follows its error norm, which moves with rounding)
+    spec = ManifoldSpec(nbar=180, d=d)
+    ts = time_scales(spec)
+    fwhm = 0.25 * LN2 * ts.t_kepler / d
+    pulse = PulseSpec(fwhm=fwhm, peak_rabi=area_pi * pi_pulse_peak_rabi(spec, fwhm),
+                      carrier_detuning=detuning_steps * 2.0 * math.pi / ts.t_kepler,
+                      phase=phase, center_time=center_kepler * ts.t_kepler, target=target)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=d + 2) + 1j * rng.normal(size=d + 2)
+    v /= np.linalg.norm(v)
+    calls = _pulse_solves(spec, pulse, mode, v)[:2]
+    for coupling, t_span, y0, kwargs in calls:
+        got = solve_ivp(coupling, t_span, y0, **kwargs)
+        grid, y_end, nfev = _series_solve(coupling, t_span, y0, kwargs["max_step"])
+        assert got.success
+        assert (len(got.t), got.nfev) == (len(grid), nfev)
+        if nfev == 2 + 6 * (len(grid) - 1):
+            assert got.t.tobytes() == grid.tobytes()
+        t, h = got.t[:-1], np.diff(got.t)
+        M, E, parts = _step_operators(coupling, t, h)
+        M_ref, err_ref = _series_step_operators(coupling, t, h)
+        assert np.max(np.abs(M - M_ref)) <= 1e-14
+        Y = np.moveaxis(got.y, -1, 0).reshape(len(got.t), len(y0), -1)[:-1]
+        assert np.max(np.abs(E @ _stage_values(parts, Y) - err_ref @ Y)) <= 1e-14
 
 
 def _edge_pulses():

@@ -866,6 +866,10 @@ def test_pulse_area_edge_gives_a_peak_schedule_json_accepts():
     ("revival_recovery", "{window: 0.0}", "window"),            # once FAILs off one point
     ("revival_recovery", "{grid_per_kepler: 0}", "grid_per_kepler"),
     ("revival_recovery", "{window: 1.0e-5}", "grid_per_kepler"),      # one grid point
+    # a window of 1 or more starts the scan at or before t = 0; 1.5 once
+    # reported a revival peak at 5.4e-17 t_revival and FAILed (exit 1)
+    ("revival_recovery", "{window: 1}", "window"),
+    ("revival_recovery", "{window: 1.5}", "window"),
     ("compile_random_unitary", "{haar_count: 0}", "haar_count"),      # once PASS, margin -1e9
     ("compile_random_unitary", "{haar_count: -3}", "haar_count"),
     ("compile_random_unitary", "{haar_dims: []}", "haar_dims"),       # once PASS over none
@@ -884,7 +888,7 @@ def test_pulse_area_edge_gives_a_peak_schedule_json_accepts():
     ("kernel_identity", "{n_pairs: 1000001}", "n_pairs"),
     ("compile_random_unitary", "{haar_count: 1000001}", "haar_count"),
     ("revival_recovery", "{grid_per_kepler: 1000001}", "grid_per_kepler"),
-    ("revival_recovery", "{window: 1.0e+300}", "grid_per_kepler"),    # once an OverflowError
+    ("revival_recovery", "{window: 1.0e+300}", "window"),             # once an OverflowError
     ("fig2_dark_packet", "{trace_points: 1000001}", "trace_points"),
     ("fig2_dark_packet", "{trace_points: 1}", "trace_points"),
 ], ids=lambda v: re.sub(r"[{} ]", "", str(v))[:40])
@@ -894,6 +898,20 @@ def test_named_scenario_param_out_of_bounds_is_a_config_error(tmp_path, capsys,
     path.write_text(f"scenario: {scenario}\nparams: {params}\n")
     assert main(["run", str(path)]) == 2
     assert f"config error: config.params.{key}:" in capsys.readouterr().err
+
+
+def test_revival_window_inside_the_bound_reports_as_before(tmp_path, capsys):
+    # the bound on window leaves an in-range window's scan as it was: the
+    # peak the parent commit reported for window 0.05 (it FAILs the
+    # recovery depth check, as the default window does; exit 1)
+    path = tmp_path / "cfg.yaml"
+    path.write_text("scenario: revival_recovery\nparams: {window: 0.05}\n")
+    assert main(["run", str(path)]) == 1
+    obs = dict(line.strip().split(" = ") for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  ") and not line.startswith("  param "))
+    assert float(obs["revival_peak_t_over_t_revival"]) == pytest.approx(1.0077868180023266,
+                                                                        rel=1e-12)
+    assert float(obs["revival_peak_value"]) == pytest.approx(0.8445870274884678, rel=1e-12)
 
 
 @pytest.mark.parametrize("text, said", [
@@ -965,6 +983,34 @@ def test_cli_rejects_what_is_not_a_finite_number(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("route, value, said", [
+    ("run", _BIG, "got an integer of 401 digits"),
+    ("run", 1000001, "got 1000001"),
+    ("run", -10**19, "got -10000000000000000000"),
+    ("verify", _BIG, "got an integer of 401 digits"),
+    ("verify", "1e400", "got '1e400'"),
+], ids=["run-401-digits", "run-short", "run-20-digits", "verify-401-digits", "verify-string"])
+def test_config_error_shortens_a_long_integer(tmp_path, capsys, route, value, said):
+    # an out-of-range integer of 401 digits was printed in full; one of up
+    # to SHOWN_DIGITS digits, and every other value, is printed as before
+    if route == "run":
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"scenario: qft_roundtrip\nparams: {{n_states: {value}}}\n")
+        argv = ["run", str(path)]
+        where = "config.params.n_states: must be in 1 .. 1000000, "
+    else:
+        sfile, ufile, doc = _compiled_schedule(tmp_path)
+        next(p for p in doc["primitives"] if p["type"] == "wait")["duration_au"] = value
+        sfile.write_text(json.dumps(doc))
+        argv = ["verify", str(sfile), str(ufile)]
+        where = "duration_au must be a finite number, "
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith(where + said + "\n")
+    assert len(err) < 300
 
 
 @pytest.mark.parametrize("digits", ["json", "yaml"])
