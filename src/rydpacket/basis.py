@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import CACHE_SIZE, ManifoldSpec, detunings, symmetric_labels
+from .manifold import CACHE_SIZE, ManifoldSpec, flight_phases, symmetric_labels
 
 NORM_SLACK = 1e-10
 
@@ -126,12 +126,13 @@ def packet_amplitudes_at(
 ) -> np.ndarray:
     """Packet amplitudes of energy amplitudes b_j after free flight t.
 
-    Applies the free-evolution phases exp(-i omega_j0 t) before the DFT,
-    so the result is the packet-slot decomposition an observer at time t
-    would see.  With mode='taylor1' and t = n t_kepler / d the result is
-    the input's packet amplitudes cyclically shifted by n slots.
+    Applies the free-flight phases exp(-i omega_j0 t)
+    (manifold.flight_phases) before the DFT, so the result is the
+    packet-slot decomposition an observer at time t would see.  With
+    mode='taylor1' and t = n t_slot the result is the input's packet
+    amplitudes cyclically shifted by n slots.
 
-    Broadcasts like b_energy * exp(-i t omega): b_energy has shape
+    Broadcasts like b_energy * flight_phases(t): b_energy has shape
     (..., d) and t is a scalar or an array of times, so one state on a
     time grid (t of shape (n,)), a stack of states at one time, or one
     state per sample time (b of shape (n, d), t of shape (n,)) all work.
@@ -139,5 +140,4 @@ def packet_amplitudes_at(
     b = np.asarray(b_energy, dtype=complex)
     if b.shape[-1:] != (spec.d,):
         raise ValueError(f"expected {spec.d} amplitudes on the last axis, got shape {b.shape}")
-    phases = np.exp(-1j * np.multiply.outer(t, detunings(spec, mode)))
-    return (b * phases) @ energy_to_packet_matrix(spec.d).T
+    return (b * flight_phases(spec, t, mode)) @ energy_to_packet_matrix(spec.d).T

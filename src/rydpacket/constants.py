@@ -46,11 +46,12 @@ def is_finite_number(value) -> bool:
 SHOWN_DIGITS = 20
 
 
-def input_repr(value) -> str:
-    """repr of an input value for an error message; an int (not a bool) of
-    more than SHOWN_DIGITS digits reads 'an integer of <n> digits'."""
+def input_repr(value, form=repr) -> str:
+    """form(value), its repr or its str, of an input value for an error
+    message; an int (not a bool) of more than SHOWN_DIGITS digits reads
+    'an integer of <n> digits'."""
     if type(value) is int:
         digits = len(str(abs(value)))
         if digits > SHOWN_DIGITS:
             return f"an integer of {digits} digits"
-    return repr(value)
+    return form(value)

@@ -1,18 +1,21 @@
 """Field-free time evolution on the manifold.
 
 Free flight is diagonal in the energy basis, so it is computed from
-exact phases, never from an ODE.  In the packet basis the same
-evolution is a circulant mixing of the d slot amplitudes.  The kernel
-stored here is indexed by forward shift distance m:
+exact phases (manifold.flight_phases), never from an ODE.  In the packet
+basis the same evolution is a circulant mixing of the d slot
+amplitudes.  The kernel stored here is indexed by forward shift
+distance m:
 
-    entries[m] = (1/d) sum_j exp(-i omega_j0 t + i 2 pi j m / d)
+    entries[m] = (1/d) sum_j exp(-i omega_j0 t) exp(+i 2 pi j m / d)
 
 so that bt_k(t) = sum_m entries[m] * bt_{k-m}(0), a circular
-convolution.  With the linearized spectrum ('taylor1') and
-t = n t_kepler / d the kernel is exactly a delta at m = n mod d: free
-flight for an integer number of slot times is the cyclic SHIFT gate.
-With the exact Coulomb spectrum the delta spreads; the leakage is the
-dispersion loss that limits gate fidelity.
+convolution.  It is the DFT of the d flight phases, computed as one
+DFT-matrix product: each phase is rounded once, by itself, before the
+transform.  With the linearized spectrum ('taylor1') and t = n t_slot
+the kernel is exactly a delta at m = n mod d: free flight for an
+integer number of slot times is the cyclic SHIFT gate.  With the exact
+Coulomb spectrum the delta spreads; the leakage is the dispersion loss
+that limits gate fidelity.
 
 trace_rows builds every row of a program trace, for the flight of
 gates.run_program and the pulses of pulse.integrate_pulse alike.
@@ -22,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import packet_amplitudes_at
+from .basis import energy_to_packet_matrix, packet_amplitudes_at
 from .constants import AU_TIME_NS
-from .manifold import ManifoldSpec, detunings, time_scales
+from .manifold import ManifoldSpec, flight_phases, time_scales
 
 
 @dataclass(frozen=True)
@@ -45,11 +48,12 @@ class EvolutionKernel:
 
 def evolution_kernel(spec: ManifoldSpec, t: float, mode: str = "exact") -> EvolutionKernel:
     """Free-flight kernel for time t under the chosen spectrum model."""
-    w = detunings(spec, mode)
-    j = spec.j_values
-    m = np.arange(spec.d)
-    phases = np.exp(-1j * np.outer(w, np.ones(spec.d)) * t + 2j * np.pi * np.outer(j, m) / spec.d)
-    return EvolutionKernel(spec=spec, t=t, mode=mode, entries=phases.mean(axis=0))
+    d = spec.d
+    # the DFT matrix's rows run over the labels from -((d - 1) // 2);
+    # entries[m] is the row of label m mod d
+    packet = energy_to_packet_matrix(d) @ flight_phases(spec, t, mode)
+    return EvolutionKernel(spec=spec, t=t, mode=mode,
+                           entries=np.roll(packet, -((d - 1) // 2)) / np.sqrt(d))
 
 
 def shift_matrix(d: int, n: int) -> np.ndarray:
@@ -67,7 +71,7 @@ def shift_fidelity(spec: ManifoldSpec, n: int, mode: str = "exact") -> float:
     the accumulated dispersion loss (about 5 percent over one Kepler
     period at nbar = 180, d = 8).
     """
-    kern = evolution_kernel(spec, n * time_scales(spec).t_kepler / spec.d, mode)
+    kern = evolution_kernel(spec, n * time_scales(spec).t_slot, mode)
     return float(abs(kern.entries[n % spec.d]) ** 2)
 
 
@@ -76,7 +80,7 @@ def autocorrelation(b_energy: np.ndarray, spec: ManifoldSpec, t: float | np.ndar
     """|<psi(0)|psi(t)>|^2 for free flight of energy amplitudes, a float
     at a time t or an array of t's shape at an array of times."""
     p = np.abs(np.asarray(b_energy, dtype=complex)) ** 2
-    ac = np.abs(np.exp(-1j * np.multiply.outer(t, detunings(spec, mode))) @ p) ** 2
+    ac = np.abs(flight_phases(spec, t, mode) @ p) ** 2
     return float(ac) if np.ndim(t) == 0 else ac
 
 

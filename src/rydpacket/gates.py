@@ -11,7 +11,7 @@ Each two-level factor is executed physically with a fixed protocol:
     pad with free flight to a whole number of Kepler periods.
 
 Slot addressing is purely temporal: the slot that started the schedule
-with label k crosses the core at clock times t = (-k mod d) t_k / d
+with label k crosses the core at clock times t = (-k mod d) t_slot
 modulo t_kepler (linearized spectrum), so the compiler only chooses
 pulse center times.  Each storage pi pulse contributes a factor i to
 the transferred amplitude; four of them make -1, which the compiler
@@ -99,7 +99,7 @@ import numpy as np
 
 from .basis import energy_to_packet_matrix
 from .constants import AU_TIME_NS, LN2, input_repr, is_finite_number
-from .manifold import CACHE_SIZE, ManifoldSpec, detunings, time_scales
+from .manifold import CACHE_SIZE, ManifoldSpec, flight_phases, time_scales
 from .pulse import (
     PulseSpec,
     SimulationState,
@@ -358,7 +358,7 @@ class ManifoldPiPulse:
 
     def __post_init__(self):
         if self.target not in ("g", "e"):
-            raise ValueError(f"pulse target must be 'g' or 'e', got {self.target!r}")
+            raise ValueError(f"pulse target must be 'g' or 'e', got {input_repr(self.target)}")
         if not math.isfinite(self.phase):
             raise ValueError(f"pulse phase must be finite, got {self.phase!r}")
 
@@ -417,7 +417,10 @@ Primitive = Wait | ManifoldPiPulse | StoragePulse
 
 @dataclass
 class GateSchedule:
-    """Timed pulse program implementing a unitary on the slot qudit."""
+    """Timed pulse program implementing a unitary on the slot qudit.
+
+    spec, the ManifoldSpec of nbar and d, is built and checked once, at
+    construction: an invalid nbar or d raises ValueError there."""
 
     nbar: int
     d: int
@@ -425,10 +428,10 @@ class GateSchedule:
     peak_rabi: float             # calibrated pi-pulse peak Rabi frequency, a.u.
     primitives: list = field(default_factory=list)
     recorded_global_phase: float = 0.0
+    spec: ManifoldSpec = field(init=False, repr=False, compare=False)
 
-    @property
-    def spec(self) -> ManifoldSpec:
-        return ManifoldSpec(nbar=self.nbar, d=self.d)
+    def __post_init__(self):
+        self.spec = ManifoldSpec(nbar=self.nbar, d=self.d)
 
     def clock(self) -> tuple[list[float], float]:
         """The schedule's clock, starting at 0: the centre time of each
@@ -599,9 +602,9 @@ def _pi_peak_rabi(spec: ManifoldSpec, fwhm: float) -> float:
 
 def next_core_crossing(spec: ManifoldSpec, slot: int, t_min: float) -> float:
     """Earliest time >= t_min at which the slot with start label `slot`
-    crosses the core: m t_kepler / d with m = -slot mod d (linearized
+    crosses the core: m t_slot with m = -slot mod d (linearized
     spectrum), the clock starting at 0 with slot 0 at the core."""
-    step = time_scales(spec).t_kepler / spec.d
+    step = time_scales(spec).t_slot
     m_min = math.ceil(t_min / step - 1e-9)
     return (m_min + (-slot - m_min) % spec.d) * step
 
@@ -609,7 +612,7 @@ def next_core_crossing(spec: ManifoldSpec, slot: int, t_min: float) -> float:
 class _Compiler:
     def __init__(self, spec: ManifoldSpec, pulse_fwhm: float):
         self.spec = spec
-        self.step = time_scales(spec).t_kepler / spec.d
+        self.step = time_scales(spec).t_slot
         self.fwhm = pulse_fwhm
         self.half = support_half_width(pulse_fwhm)
         self.t = 0.0                      # clock at end of emitted primitives
@@ -725,7 +728,7 @@ def compile_unitary(
     if (all(abs(U[(j + n) % d, j] - 1.0) <= UNITARITY_TOL for j in range(d))
             and np.max(np.abs(U - shift_matrix(d, n))) <= UNITARITY_TOL):
         if n > 0:
-            sched.primitives.append(Wait(duration=n * ts.t_kepler / d))
+            sched.primitives.append(Wait(duration=n * ts.t_slot))
         return sched
 
     comp = _Compiler(spec, pulse_fwhm)
@@ -773,7 +776,6 @@ def schedule_factors(
         raise ValueError(f"pulses must be 'full' or 'ideal', got {pulses!r}")
     spec = schedule.spec
     d = spec.d
-    w = detunings(spec, mode)
     centers, t_end = schedule.clock()
     rows, manifold, runs = [], [], []
     for prim in schedule.primitives:
@@ -798,7 +800,7 @@ def schedule_factors(
         # each pulse's frame vector (1, e^{i phi} e^{-i w t}) over its rows
         q = np.ones((len(manifold), d + 2), dtype=complex)
         q[:, 1:-1] = (np.exp(1j * np.array([p.phase for p in manifold]))[:, None]
-                      * np.exp(np.multiply.outer(centers, -1j * w)))
+                      * flight_phases(spec, centers, mode))
         q = np.where(on_e[:, None], q[:, 1:], q[:, :-1])
         # P[i] = Q^-1 K Q for pulse i, K in its rows' orientation
         P = kernels.take(on_e.astype(int), axis=0)
@@ -913,11 +915,9 @@ def run_program(
                 fly(state.t + item.duration)
             elif isinstance(item, PulseSpec):
                 fly(max(item.t_start, state.t))
-                if n_trace:
-                    state, segment = integrate_pulse(state, item, mode, n_trace)
+                state, segment = integrate_pulse(state, item, mode, n_trace)
+                if segment is not None:
                     parts.append(segment)
-                else:
-                    state = integrate_pulse(state, item, mode)
             elif isinstance(item, GateSchedule):
                 leak = abs(state.b_g) ** 2 + abs(state.b_e) ** 2
                 if not leak <= 1e-12:
@@ -927,7 +927,7 @@ def run_program(
                     raise ValueError(f"schedule is for {item.spec}, the state for {state.spec}")
                 factors, t_end = schedule_factors(item, mode, pulses)
                 # the schedule's clock starts at 0: move into its frame and back
-                phase = np.exp(-1j * detunings(state.spec, mode) * state.t)
+                phase = flight_phases(state.spec, state.t, mode)
                 v = np.concatenate(([state.b_g], phase * state.b_energy, [state.b_e]))
                 _apply_factors(factors, v)
                 state.b_g, state.b_e = complex(v[0]), complex(v[-1])
@@ -1000,7 +1000,7 @@ def process_fidelity(
     F = energy_to_packet_matrix(spec.d)
     probes, probes_energy = _probe_matrices(spec)
     b = M[1:-1, 1:-1] @ probes_energy
-    out = F @ (np.exp(-1j * detunings(spec, mode) * t_end)[:, None] * b)
+    out = F @ (flight_phases(spec, t_end, mode)[:, None] * b)
     fids = np.abs(((U @ probes).conj() * out).sum(0)) ** 2
     return float(fids.mean())
 

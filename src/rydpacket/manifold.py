@@ -12,7 +12,12 @@ level, omega_j0 = E(nbar+j) - E(nbar) with E(n) = -1/(2 n^2) a.u.
 Expanding omega_j0 in j gives the hierarchy of orbital time scales: the
 classical orbit period t_kepler = 2 pi nbar^3, the quadratic rephasing
 time t_revival = 4 pi nbar^4 / 3 and the cubic one t_superrevival =
-pi nbar^5 (all atomic units).
+pi nbar^5 (all atomic units).  A packet slot passes the core once every
+slot time t_slot = t_kepler / d, so n slot steps last n t_slot.
+
+Free flight is one phase per level, exp(-i omega_j0 t); flight_phases
+is its one home, for every frame change, read-out and kernel of the
+package.
 """
 
 import functools
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import AU_TIME_NS, TWO_PI
+from .constants import AU_TIME_NS, TWO_PI, input_repr
 
 SPECTRUM_MODES = ("exact", "taylor1", "taylor2", "taylor3")
 # Largest mean principal quantum number of a manifold.  Far beyond it the
@@ -31,13 +36,10 @@ MAX_NBAR = 10**6
 # and the ideal pulse kernel per d, the complex identity per size,
 # time scales per manifold, detunings per manifold and spectrum mode,
 # fidelity probes per manifold, compiled gates' pi-pulse Rabi
-# frequencies per manifold and FWHM, pulse propagators per shape, pulse
-# support half-widths per FWHM).  Apart from the half-widths, the most
-# distinct keys a benchmark workload meets in one cache is about 400
-# (detunings, scenarios_cli), so none of them evicts there; an entry
-# holds at most O(d^2) numbers.  Every pulse's FWHM passes through the
-# half-width cache, and scenarios_cli's single pulses (about 130 per
-# round, each of its own FWHM) evict there; an entry costs a division.
+# frequencies per manifold and FWHM, pulse propagators per shape).  The
+# most distinct keys a benchmark workload meets in one cache is about
+# 400 (detunings, scenarios_cli), so none of them evicts there; an
+# entry holds at most O(d^2) numbers.
 CACHE_SIZE = 1024
 
 
@@ -56,13 +58,14 @@ class ManifoldSpec:
 
     def __post_init__(self):
         if not self.nbar >= 4:
-            raise ValueError(f"nbar must be >= 4, got {self.nbar}")
+            raise ValueError(f"nbar must be >= 4, got {input_repr(self.nbar, str)}")
         if not self.nbar <= MAX_NBAR:
-            raise ValueError(f"nbar must be <= {MAX_NBAR}, got {self.nbar}")
+            raise ValueError(f"nbar must be <= {MAX_NBAR}, got {input_repr(self.nbar, str)}")
         if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
+            raise ValueError(f"d must be >= 2, got {input_repr(self.d, str)}")
         if self.d >= self.nbar:
-            raise ValueError(f"need d < nbar, got d={self.d}, nbar={self.nbar}")
+            raise ValueError(f"need d < nbar, got d={input_repr(self.d, str)}, "
+                             f"nbar={input_repr(self.nbar, str)}")
 
     @property
     def j_values(self) -> np.ndarray:
@@ -78,7 +81,7 @@ class ManifoldSpec:
         """Array position of slot label k."""
         lo = -((self.d - 1) // 2)           # k_values[0], as in symmetric_labels
         if k < lo or k > lo + self.d - 1:
-            raise ValueError(f"slot {k} outside {lo}..{lo + self.d - 1}")
+            raise ValueError(f"slot {input_repr(k, str)} outside {lo}..{lo + self.d - 1}")
         return int(k - lo)
 
     @property
@@ -94,6 +97,7 @@ class TimeScales:
     t_kepler: float
     t_revival: float
     t_superrevival: float
+    t_slot: float           # t_kepler / d: one slot passes the core
 
     @property
     def t_kepler_ns(self) -> float:
@@ -113,8 +117,9 @@ def time_scales(spec: ManifoldSpec) -> TimeScales:
 
     t_kepler = 2 pi nbar^3, t_revival = 4 pi nbar^4 / 3,
     t_superrevival = pi nbar^5, all in atomic units.  For nbar = 180
-    these are about 0.89 ns, 106 ns and 14 us.  Computed once per
-    manifold (the result is frozen).
+    these are about 0.89 ns, 106 ns and 14 us.  The slot time t_slot =
+    t_kepler / d is the one step between core crossings of adjacent
+    slots.  Computed once per manifold (the result is frozen).
     """
     return _time_scales(spec)
 
@@ -126,6 +131,7 @@ def _time_scales(spec: ManifoldSpec) -> TimeScales:
         t_kepler=TWO_PI * n**3,
         t_revival=4.0 * np.pi * n**4 / 3.0,
         t_superrevival=np.pi * n**5,
+        t_slot=TWO_PI * n**3 / spec.d,
     )
 
 
@@ -172,3 +178,11 @@ def _detunings(spec: ManifoldSpec, mode: str) -> np.ndarray:
     w = exact_detunings(spec) if mode == "exact" else taylor_detunings(spec, int(mode[-1]))
     w.flags.writeable = False
     return w
+
+
+def flight_phases(spec: ManifoldSpec, t: float | np.ndarray, mode: str = "exact") -> np.ndarray:
+    """Free-flight phases exp(-i omega_j0 t) of the levels after time t,
+    under the chosen spectrum model: shape (d,) for a scalar t and
+    t.shape + (d,) for an array of times.  With mode='taylor1' and
+    t = n t_slot they are exp(-2 pi i j n / d), the SHIFT by n slots."""
+    return np.exp(-1j * np.multiply.outer(t, detunings(spec, mode)))

@@ -143,12 +143,10 @@ class PulseSpec:
         return s * math.sqrt(2.0 * math.pi) * math.erf(TRUNCATION_SIGMAS / math.sqrt(2.0))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def support_half_width(fwhm: float) -> float:
     """Half-width of the envelope support of a pulse of this FWHM,
     TRUNCATION_SIGMAS sigma, as a float; ValueError unless fwhm is
-    positive and finite.  Cached per FWHM: compiled and parsed schedules
-    meet a few FWHMs again and again."""
+    positive and finite."""
     if not (math.isfinite(fwhm) and fwhm > 0):
         raise ValueError(f"pulse FWHM must be positive and finite, got {fwhm}")
     return float(TRUNCATION_SIGMAS * (fwhm / (2.0 * math.sqrt(2.0 * LN2))))
@@ -237,7 +235,7 @@ def validate_pulse(spec: ManifoldSpec, pulse: PulseSpec) -> PulseReport:
     for the pulse to cover the manifold without spilling far outside it.
     """
     ts = time_scales(spec)
-    transit = ts.t_kepler / spec.d
+    transit = ts.t_slot
     fwhm_freq = 4.0 * LN2 / (math.pi * pulse.fwhm)
     hwhm_freq = 0.5 * fwhm_freq
     ratio = hwhm_freq / (spec.d / ts.t_kepler)
@@ -330,9 +328,10 @@ def integrate_pulse(
     """Drive one pulse, full model: all d levels coupled to the storage.
 
     The state's clock must not be past the pulse support start.  Returns
-    the post-pulse state (clock at the support end).  With n_trace > 0
-    also returns the TraceRecord of n_trace samples across the pulse
-    support (evolution.trace_rows of the amplitudes at each sample).
+    (state, trace): the post-pulse state (clock at the support end) and,
+    with n_trace > 0, the TraceRecord of n_trace samples across the pulse
+    support (evolution.trace_rows of the amplitudes at each sample),
+    otherwise None.
 
     Integration uses the package's Dormand-Prince 5(4) stepper
     (solve_ivp: one fixed grid whose every step passes the embedded
@@ -367,7 +366,7 @@ def integrate_pulse(
         raise RuntimeError(f"norm drifted by {drift:.3e} during pulse integration")
 
     if n_trace <= 0:
-        return out
+        return out, None
 
     ts = np.linspace(pulse.t_start, pulse.t_end, n_trace)
     Y = sol.sol(ts)

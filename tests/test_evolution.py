@@ -49,6 +49,23 @@ def test_kernel_matches_direct_propagation(t_frac):
     np.testing.assert_allclose(kern.as_matrix() @ (F @ b), direct, atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", SPECTRUM_MODES)
+def test_kernel_matches_direct_flight_to_rounding(mode):
+    # the kernel is the DFT of the flight phases, each rounded by itself:
+    # it once added a phase of thousands of radians to 2 pi j m / d inside
+    # one exp, and missed the direct flight by up to 3.2e-13
+    rng = np.random.default_rng(29)
+    for d in range(2, 17):
+        spec = ManifoldSpec(nbar=180, d=d)
+        ts = time_scales(spec)
+        F = energy_to_packet_matrix(d)
+        for t in [0.0, 3.0 * ts.t_revival, *rng.uniform(0.0, 3.0 * ts.t_revival, 24)]:
+            b = _random_energy(int(rng.integers(1 << 30)), d)
+            direct = packet_amplitudes_at(b, spec, t, mode)
+            kern = evolution_kernel(spec, t, mode)
+            assert np.max(np.abs(kern.as_matrix() @ (F @ b) - direct)) <= 1e-14
+
+
 def test_as_matrix_is_circulant_and_applies():
     spec = _spec()
     ts = time_scales(spec)
@@ -130,7 +147,7 @@ def test_revival_peak_frozen():
 
 def _shift_fidelity_oracle(spec, n, mode):
     # the circulant and shift-matrix overlap shift_fidelity once computed
-    kern = evolution_kernel(spec, n * time_scales(spec).t_kepler / spec.d, mode)
+    kern = evolution_kernel(spec, n * time_scales(spec).t_slot, mode)
     bt0 = np.zeros(spec.d, dtype=complex)
     bt0[spec.slot_index(0)] = 1.0
     evolved = kern.as_matrix() @ bt0

@@ -578,6 +578,24 @@ def test_schedule_to_json_matches_json_dumps(sched):
     assert schedule_to_json(sched) == _schedule_json_oracle(sched)
 
 
+def test_schedule_spec_is_built_once_at_construction():
+    # spec was once a new, checked ManifoldSpec on every access
+    sched = GateSchedule(nbar=180, d=4, pulse_fwhm=1.0e5, peak_rabi=2.0e-6,
+                         primitives=[Wait(1.0)])
+    assert sched.spec is sched.spec
+    assert sched.spec == ManifoldSpec(nbar=180, d=4)
+    # the constructor, repr, equality, JSON and replace are as they were
+    assert repr(sched) == ("GateSchedule(nbar=180, d=4, pulse_fwhm=100000.0, peak_rabi=2e-06, "
+                           "primitives=[Wait(duration=1.0)], recorded_global_phase=0.0)")
+    assert sched == GateSchedule(180, 4, 1.0e5, 2.0e-6, [Wait(1.0)])
+    assert schedule_to_json(replace(sched)) == schedule_to_json(sched)
+    moved = replace(sched, d=8)
+    assert moved.spec == ManifoldSpec(nbar=180, d=8) and moved != sched
+    for nbar, d in ((3, 2), (180, 1), (8, 8), (10**7, 4)):
+        with pytest.raises(ValueError):
+            GateSchedule(nbar=nbar, d=d, pulse_fwhm=1.0, peak_rabi=1.0)
+
+
 _EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308)
 
 
@@ -823,7 +841,7 @@ def _reference_run(sched, bt0, mode, pulses, b_g=0j, b_e=0j):
         elif isinstance(prim, StoragePulse):
             state.b_g, state.b_e = _storage_exponential(prim) @ np.array([state.b_g, state.b_e])
         elif pulses == "full":
-            state = integrate_pulse(state, PulseSpec(
+            state, _ = integrate_pulse(state, PulseSpec(
                 fwhm=sched.pulse_fwhm, peak_rabi=sched.peak_rabi, phase=prim.phase,
                 center_time=state.t + 4.0 * sigma, target=prim.target), mode=mode)
         else:
@@ -1047,7 +1065,7 @@ def _program_reference(state, program, mode, pulses):
         if isinstance(item, Wait):
             state.t += item.duration
         elif isinstance(item, PulseSpec):
-            state = integrate_pulse(state, item, mode=mode)
+            state, _ = integrate_pulse(state, item, mode=mode)
         else:
             M, t_end = schedule_operator(item, mode, pulses)
             b = F.conj().T @ state.packet_amplitudes(mode=mode)
@@ -1173,7 +1191,7 @@ def test_run_program_rejects_bad_items():
 
 _CACHES = (basis_mod._dft_matrix, manifold_mod._time_scales, manifold_mod._detunings,
            gates_mod._probe_matrices, gates_mod._swap_kernels, gates_mod._identity,
-           pulse_mod.support_half_width, gates_mod._pi_peak_rabi, pulse_mod._propagator)
+           gates_mod._pi_peak_rabi, pulse_mod._propagator)
 
 
 def _clear_caches():
@@ -1463,7 +1481,7 @@ def _near_identity(d, eps, rng):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_shift_shortcut_matches_search_over_all_shifts(d):
     spec = _spec(d)
-    t_kepler = time_scales(spec).t_kepler
+    t_slot = time_scales(spec).t_slot
     rng = np.random.default_rng(d)
     targets = []
     for n in range(d):
@@ -1481,7 +1499,7 @@ def test_shift_shortcut_matches_search_over_all_shifts(d):
             assert sched.manifold_pulse_count() > 0
         else:
             found += 1
-            assert sched.primitives == ([Wait(duration=n * t_kepler / d)] if n else [])
+            assert sched.primitives == ([Wait(duration=n * t_slot)] if n else [])
     assert found >= 3 * d
 
 

@@ -11,6 +11,7 @@ from rydpacket.manifold import (
     SPECTRUM_MODES,
     detunings,
     exact_detunings,
+    flight_phases,
     taylor_detunings,
 )
 
@@ -25,6 +26,16 @@ def test_spec_validation():
         ManifoldSpec(nbar=180, d=1)
     with pytest.raises(ValueError):
         ManifoldSpec(nbar=8, d=8)
+
+
+def test_spec_messages_show_numpy_integers_by_str():
+    # a numpy integer reads as its digits, as an int does, not as np.int64(3)
+    with pytest.raises(ValueError, match=r"^nbar must be >= 4, got 3$"):
+        ManifoldSpec(nbar=np.int64(3), d=2)
+    with pytest.raises(ValueError, match=r"^need d < nbar, got d=8, nbar=8$"):
+        ManifoldSpec(nbar=np.int64(8), d=np.int32(8))
+    with pytest.raises(ValueError, match=r"^slot 9 outside -3\.\.4$"):
+        ManifoldSpec(nbar=NBAR, d=8).slot_index(np.int64(9))
 
 
 def test_level_labels_even():
@@ -159,3 +170,33 @@ def test_time_scales_are_cached():
 def test_detunings_reject_unknown_mode(mode):
     with pytest.raises(ValueError, match="unknown spectrum mode"):
         detunings(ManifoldSpec(nbar=NBAR, d=D), mode)
+
+
+@pytest.mark.parametrize("nbar, d", [(180, 8), (37, 5), (MAX_NBAR, 2), (180, 16)])
+def test_slot_time_is_the_kepler_period_over_d_bit_for_bit(nbar, d):
+    ts = time_scales(ManifoldSpec(nbar=nbar, d=d))
+    assert ts.t_slot == ts.t_kepler / d
+
+
+@pytest.mark.parametrize("mode", SPECTRUM_MODES)
+def test_flight_phases_shapes_and_modulus(mode):
+    spec = ManifoldSpec(nbar=NBAR, d=D)
+    ts = time_scales(spec)
+    assert flight_phases(spec, 0.3 * ts.t_revival, mode).shape == (D,)
+    grid = np.linspace(0.0, 3.0 * ts.t_revival, 12).reshape(3, 4)
+    phases = flight_phases(spec, grid, mode)
+    assert phases.shape == (3, 4, D)
+    np.testing.assert_allclose(np.abs(phases), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(flight_phases(spec, 0.0, mode), np.ones(D))
+    # one scalar time is the row of that time on a grid, bit for bit
+    np.testing.assert_array_equal(phases[1, 2], flight_phases(spec, grid[1, 2], mode))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_taylor1_flight_over_n_slot_times_is_the_shift_phase(d):
+    spec = ManifoldSpec(nbar=NBAR, d=d)
+    t_slot = time_scales(spec).t_slot
+    j = spec.j_values
+    for n in range(-d, 3 * d + 1):
+        np.testing.assert_allclose(flight_phases(spec, n * t_slot, "taylor1"),
+                                   np.exp(-2j * np.pi * j * n / d), rtol=0, atol=1e-12)

@@ -154,7 +154,7 @@ def test_full_model_approaches_oracle_for_short_pulses():
         pulse = PulseSpec(fwhm=fwhm, peak_rabi=pi_pulse_peak_rabi(spec, fwhm))
         state = SimulationState(spec=spec, b_energy=np.zeros(spec.d, dtype=complex),
                                 b_g=1.0 + 0.0j, t=pulse.t_start)
-        out = integrate_pulse(state, pulse)
+        out, _ = integrate_pulse(state, pulse)
         assert out.norm() == pytest.approx(1.0, abs=1e-8)
         residuals.append(abs(out.b_g) ** 2)
     assert residuals[0] > residuals[1] > residuals[2]
@@ -245,9 +245,9 @@ def test_integrate_pulse_trace(d, mode, target, phase, detuning_steps, area_fact
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pulse_mod, "solve_ivp", capture)
-        out = integrate_pulse(state, pulse, mode=mode)                  # bare state, no trace
+        out, no_trace = integrate_pulse(state, pulse, mode=mode)
         out2, trace = integrate_pulse(state, pulse, mode=mode, n_trace=n_trace)
-    assert isinstance(out, SimulationState)
+    assert isinstance(out, SimulationState) and no_trace is None
     assert grids[0].tobytes() == grids[1].tobytes()
     assert (np.r_[out2.b_g, out2.b_e, out2.t, out2.b_energy].tobytes()
             == np.r_[out.b_g, out.b_e, out.t, out.b_energy].tobytes())
@@ -340,7 +340,7 @@ def test_conjugated_propagator_matches_integrate_pulse(
     v = rng.normal(size=d + 2) + 1j * rng.normal(size=d + 2)
     v /= np.linalg.norm(v)
     state = SimulationState(spec=spec, b_energy=v[2:], b_g=v[0], b_e=v[1], t=pulse.t_start)
-    ref = integrate_pulse(state, pulse, mode=mode)
+    ref, _ = integrate_pulse(state, pulse, mode=mode)
 
     deltas = detunings(spec, mode) + pulse.carrier_detuning
     q = np.concatenate(([1.0], np.exp(1j * phase) * np.exp(-1j * deltas * pulse.center_time)))
@@ -772,8 +772,8 @@ def test_edge_pulses_are_no_less_accurate(name):
                         deltas=detunings(spec) + pulse.carrier_detuning)
     want = _dop853(coupling, (pulse.t_start, pulse.t_end), Y)[..., -1]
     for y, w in zip(Y.T, want.T):
-        out = integrate_pulse(SimulationState(spec=spec, b_energy=y[1:], b_g=y[0],
-                                              t=pulse.t_start), pulse)
+        out, _ = integrate_pulse(SimulationState(spec=spec, b_energy=y[1:], b_g=y[0],
+                                                 t=pulse.t_start), pulse)
         assert np.max(np.abs(np.r_[out.b_g, out.b_energy] - w)) <= EDGE_PULSE_ERROR[name]
 
 

@@ -870,6 +870,13 @@ def test_pulse_area_edge_gives_a_peak_schedule_json_accepts():
     # reported a revival peak at 5.4e-17 t_revival and FAILed (exit 1)
     ("revival_recovery", "{window: 1}", "window"),
     ("revival_recovery", "{window: 1.5}", "window"),
+    # a window of 0.45 or more reaches the half-revival scan (0.47 .. 0.55
+    # t_revival): 0.5 once reported the half revival, 0.5038926954474852
+    # t_revival, as the revival peak and FAILed (exit 1); 0.999999 once
+    # reported a peak 1e-6 t_revival after t = 0
+    ("revival_recovery", "{window: 0.45}", "window"),
+    ("revival_recovery", "{window: 0.5}", "window"),
+    ("revival_recovery", "{window: 0.999999}", "window"),
     ("compile_random_unitary", "{haar_count: 0}", "haar_count"),      # once PASS, margin -1e9
     ("compile_random_unitary", "{haar_count: -3}", "haar_count"),
     ("compile_random_unitary", "{haar_dims: []}", "haar_dims"),       # once PASS over none
@@ -902,16 +909,22 @@ def test_named_scenario_param_out_of_bounds_is_a_config_error(tmp_path, capsys,
 
 def test_revival_window_inside_the_bound_reports_as_before(tmp_path, capsys):
     # the bound on window leaves an in-range window's scan as it was: the
-    # peak the parent commit reported for window 0.05 (it FAILs the
-    # recovery depth check, as the default window does; exit 1)
+    # peak reported before the bound for windows 0.05, 0.44 (the widest
+    # the bound admits, to two digits) and the default 0.02 (each FAILs
+    # the recovery depth check; exit 1)
     path = tmp_path / "cfg.yaml"
-    path.write_text("scenario: revival_recovery\nparams: {window: 0.05}\n")
-    assert main(["run", str(path)]) == 1
-    obs = dict(line.strip().split(" = ") for line in capsys.readouterr().out.splitlines()
-               if line.startswith("  ") and not line.startswith("  param "))
-    assert float(obs["revival_peak_t_over_t_revival"]) == pytest.approx(1.0077868180023266,
-                                                                        rel=1e-12)
-    assert float(obs["revival_peak_value"]) == pytest.approx(0.8445870274884678, rel=1e-12)
+    for params, peak_value in (("{window: 0.05}", 0.8445870274884678),
+                               ("{window: 0.44}", 0.84458702748846),
+                               ("{}", 0.8445870274884678)):
+        path.write_text(f"scenario: revival_recovery\nparams: {params}\n")
+        assert main(["run", str(path)]) == 1
+        obs = dict(line.strip().split(" = ") for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("  ") and not line.startswith("  param "))
+        assert float(obs["revival_peak_t_over_t_revival"]) == pytest.approx(
+            1.0077868180023266, rel=1e-12)
+        assert float(obs["revival_peak_value"]) == pytest.approx(peak_value, rel=1e-12)
+        assert float(obs["half_revival_peak_t_over_t_revival"]) == pytest.approx(
+            0.503892695447485, rel=1e-12)
 
 
 @pytest.mark.parametrize("text, said", [
@@ -1011,6 +1024,33 @@ def test_config_error_shortens_a_long_integer(tmp_path, capsys, route, value, sa
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.endswith(where + said + "\n")
     assert len(err) < 300
+
+
+@pytest.mark.parametrize("key, value, said", [
+    ("nbar", _BIG, "nbar must be <= 1000000, got an integer of 401 digits"),
+    ("d", _BIG, "need d < nbar, got d=an integer of 401 digits, nbar=180"),
+    ("slot", _BIG, "slot an integer of 401 digits outside -1..2"),
+    ("target", _BIG, "pulse target must be 'g' or 'e', got an integer of 401 digits"),
+    ("nbar", 10**7, "nbar must be <= 1000000, got 10000000"),
+    ("nbar", 3, "nbar must be >= 4, got 3"),
+    ("d", 1, "d must be >= 2, got 1"),
+    ("d", 12345678901234567890, "need d < nbar, got d=12345678901234567890, nbar=180"),
+    ("slot", 99, "slot 99 outside -1..2"),
+    ("target", 7, "pulse target must be 'g' or 'e', got 7"),
+    ("target", "x", "pulse target must be 'g' or 'e', got 'x'"),
+])
+def test_schedule_integer_fields_shorten_a_long_integer(tmp_path, capsys, key, value, said):
+    # nbar, d, a pulse's slot and its target once echoed all 401 digits of
+    # 10**400; a value of up to SHOWN_DIGITS digits reads as before
+    sfile, ufile, doc = _compiled_schedule(tmp_path)
+    if key in ("slot", "target"):
+        next(p for p in doc["primitives"] if p["type"] == "manifold_pi_pulse")[key] = value
+    else:
+        doc[key] = value
+    sfile.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(sfile), str(ufile)]) == 2
+    assert capsys.readouterr().err == f"config error: {sfile}: {said}\n"
 
 
 @pytest.mark.parametrize("digits", ["json", "yaml"])
