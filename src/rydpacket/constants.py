@@ -49,9 +49,12 @@ SHOWN_DIGITS = 20
 def input_repr(value, form=repr) -> str:
     """form(value), its repr or its str, of an input value for an error
     message; an int (not a bool) of more than SHOWN_DIGITS digits reads
-    'an integer of <n> digits'."""
-    if type(value) is int:
-        digits = len(str(abs(value)))
-        if digits > SHOWN_DIGITS:
-            return f"an integer of {digits} digits"
+    'an integer of <n> digits'.  The digits are counted without str(),
+    which refuses an int of more than 4300 digits."""
+    if type(value) is int and abs(value) >= 10**SHOWN_DIGITS:
+        n = abs(value)
+        # log10 is within one of the exact exponent; a power of ten settles it
+        k = int(math.log10(n))
+        k += (n >= 10 ** (k + 1)) - (n < 10**k)
+        return f"an integer of {k + 1} digits"
     return form(value)

@@ -40,18 +40,28 @@ repeats.
 
 schedule_factors lists a schedule as factors in schedule order, each
 with the rows it acts on, in one layout of the slow amplitudes,
-(b_g, b_energy, b_e): a manifold pulse is one (d+1) x (d+1) on g and
-the levels or on the levels and e, a run of storage pulses one 2 x 2
-on g and e.  Each row set is one strided view of an operator or a
-state, so a factor costs one small matrix product (np.dot: the zgemm
-or zgemv that matmul calls, with less dispatch per call).
-schedule_operator is the (d+2) x (d+2) product of the factors in that
-layout, process_fidelity reads its level block M[1:-1, 1:-1], and
-run_program applies the factors to one state.  The manifold pulses of
-a schedule share one shape and are resonant, so in both pulse models
-each is one cached kernel (the shape's full-model propagator, or the
-ideal storage <-> core-slot swap) conjugated by its pulse frame, and
-schedule_factors builds all the frames in one array operation.
+(b_g, b_energy, b_e): a run of manifold pulses (no storage pulse
+between them) is one (d+1) x (d+1) on g and the levels or on the
+levels and e if all its pulses target that storage level, and one
+(d+2) x (d+2) on all rows if it mixes them; a run of storage pulses
+is one 2 x 2 on g and e.  Each row set is one strided view of an
+operator or a state, so a factor costs one small matrix product
+(np.dot: the zgemm or zgemv that matmul calls, with less dispatch per
+call).  schedule_operator is the (d+2) x (d+2) product of the factors
+in that layout, process_fidelity reads its level block M[1:-1, 1:-1],
+and run_program applies the factors to one state.  The manifold
+pulses of a schedule share one shape and are resonant, so in both
+pulse models each is one cached kernel (the shape's full-model
+propagator, or the ideal storage <-> core-slot swap) conjugated by its
+pulse frame.  A pulse acts on whichever slot is at the core, so a
+run's product depends on its pulses' targets, centre times and phases
+and never on a rotation angle, which sits in the storage pulses: every
+Haar target of one (nbar, d), and every two-level target on one slot
+pair, compiles to the same runs.  Each run's product is cached
+read-only (the products of a fixed control sequence reused, as GRAPE
+reuses its propagators: Khaneja et al., J. Magn. Reson. 172, 296
+(2005)), and the frames of every pulse a call misses are built in one
+array operation.
 
 run_program is the one executor for timed programs: a list of waits,
 single pulses and gate schedules run in order on a state's clock,
@@ -420,7 +430,11 @@ class GateSchedule:
     """Timed pulse program implementing a unitary on the slot qudit.
 
     spec, the ManifoldSpec of nbar and d, is built and checked once, at
-    construction: an invalid nbar or d raises ValueError there."""
+    construction: an invalid nbar or d raises ValueError there.  nbar, d
+    and spec are fixed from then on (assigning one raises
+    AttributeError), so spec, and the run products cached under it,
+    always name the schedule's manifold; the other fields stay
+    assignable."""
 
     nbar: int
     d: int
@@ -432,6 +446,11 @@ class GateSchedule:
 
     def __post_init__(self):
         self.spec = ManifoldSpec(nbar=self.nbar, d=self.d)
+
+    def __setattr__(self, name, value):
+        if name in ("nbar", "d", "spec") and name in self.__dict__:
+            raise AttributeError(f"GateSchedule.{name} is fixed at construction")
+        object.__setattr__(self, name, value)
 
     def clock(self) -> tuple[list[float], float]:
         """The schedule's clock, starting at 0: the centre time of each
@@ -756,66 +775,123 @@ def schedule_factors(
 
     Each factor is (rows, K): K acts on the slow amplitudes
     (b_g, b_energy, b_e), with the clock starting at 0, through the rows
-    'g' (the first d + 1), 'e' (the last d + 1) or 'storage' (the first
-    and the last).  Pulse centres and t_end come from schedule.clock(),
-    so t_end is schedule.duration().  A Wait only advances the clock.
-    A run of StoragePulses is one 2 x 2 on 'storage', their product.  A
-    ManifoldPiPulse acts on its storage level and the levels.  A
-    schedule's pulses are resonant, so in either pulse model a pulse
+    'g' (the first d + 1), 'e' (the last d + 1), 'all' or 'storage' (the
+    first and the last).  Pulse centres and t_end come from
+    schedule.clock(), so t_end is schedule.duration().  A Wait only
+    advances the clock.  A run of StoragePulses, with no manifold pulse
+    between them, is one 2 x 2 on 'storage', their product.  A run of
+    ManifoldPiPulses, with no storage pulse between them, is one factor
+    too, the product of its pulses: on 'g' or 'e' if every pulse of the
+    run targets that storage level, on 'all' if it mixes them.
+
+    A schedule's pulses are resonant, so in either pulse model a pulse
     centred at t with phase phi is one kernel conjugated by its pulse
     frame, Q^-1 K Q with Q = diag(1, e^{i phi} e^{-i w t}) (see the
-    pulse module docstring), a (d+1) x (d+1) with the storage row first
-    for a pulse on g and last for one on e.  K is the cached propagator
-    U0 of the pulse shape (pulse.pulse_propagator) for pulses='full',
-    and the instantaneous perfect swap of storage and core slot at
-    t = 0 for pulses='ideal'.  Either kernel is cached in both
-    orientations it acts in: U0 in the propagator's cache entry, the
-    swap once per d.
+    pulse module docstring) over its storage level and the levels.  K
+    is the cached propagator U0 of the pulse shape
+    (pulse.pulse_propagator) for pulses='full', and the instantaneous
+    perfect swap of storage and core slot at t = 0 for pulses='ideal'.
+    Either kernel is cached in both orientations it acts in: U0 in the
+    propagator's cache entry, the swap once per d.
+
+    A run's product depends on the manifold, the spectrum and pulse
+    models, the pulse shape and each pulse's target, centre and phase,
+    never on a storage pulse, so it is cached read-only per run
+    (_run_product): every Haar target of one (nbar, d), and every
+    two-level target on one slot pair, compiles to the same runs.  The
+    frames of all the pulses of the runs a call misses are built in one
+    array operation.
     """
     if pulses not in ("full", "ideal"):
         raise ValueError(f"pulses must be 'full' or 'ideal', got {pulses!r}")
     spec = schedule.spec
-    d = spec.d
     centers, t_end = schedule.clock()
-    rows, manifold, runs = [], [], []
+    centers = iter(centers)
+    # the rows of each factor; each manifold run as its pulses' (target,
+    # centre, phase, sign of the phase), each storage run as one 2 x 2
+    rows, runs, storage = [], [], []
     for prim in schedule.primitives:
         if isinstance(prim, ManifoldPiPulse):
-            rows.append(prim.target)
-            manifold.append(prim)
+            pulse = (prim.target, next(centers), prim.phase, math.copysign(1.0, prim.phase))
+            if rows and rows[-1] != "storage":
+                runs[-1].append(pulse)
+                if rows[-1] != prim.target:
+                    rows[-1] = "all"
+            else:
+                rows.append(prim.target)
+                runs.append([pulse])
         elif isinstance(prim, StoragePulse):
             if rows and rows[-1] == "storage":
-                runs[-1] = _product2(prim._entries(), runs[-1])
+                storage[-1] = _product2(prim._entries(), storage[-1])
             else:
                 rows.append("storage")
-                runs.append(prim._entries())
+                storage.append(prim._entries())
         elif not isinstance(prim, Wait):
             raise TypeError(f"unknown primitive {prim!r}")
-    P = ()
-    if manifold:
-        if pulses == "ideal":
-            kernels = _swap_kernels(d)
-        else:       # resonant pulses: carrier detuning 0
-            kernels = _propagator(spec, mode, schedule.pulse_fwhm, schedule.peak_rabi, 0.0)[1]
-        on_e = np.array([p.target == "e" for p in manifold])
-        # each pulse's frame vector (1, e^{i phi} e^{-i w t}) over its rows
-        q = np.ones((len(manifold), d + 2), dtype=complex)
-        q[:, 1:-1] = (np.exp(1j * np.array([p.phase for p in manifold]))[:, None]
-                      * flight_phases(spec, centers, mode))
-        q = np.where(on_e[:, None], q[:, 1:], q[:, :-1])
-        # P[i] = Q^-1 K Q for pulse i, K in its rows' orientation
-        P = kernels.take(on_e.astype(int), axis=0)
-        P *= q.conj()[:, :, None]
-        P *= q[:, None, :]
+    entries = [_run_product(spec, mode, pulses, schedule.pulse_fwhm, schedule.peak_rabi,
+                            tuple(run)) for run in runs]
+    missed = [(run, entry) for run, entry in zip(runs, entries) if not entry]
+    if missed:
+        _fill_run_products(schedule, mode, pulses, missed)
+    run_factors = (entry[0] for entry in entries)
+    storage_factors = iter(np.array(storage, dtype=complex).reshape(-1, 2, 2))
+    factors = [(r, next(storage_factors if r == "storage" else run_factors)) for r in rows]
+    return factors, t_end
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _run_product(spec, mode, pulses, pulse_fwhm, peak_rabi, run) -> list:
+    """The cache entry of one run of manifold pulses, keyed by the
+    schedule's manifold, spectrum and pulse models and pulse shape, and
+    by the run's (target, centre, phase, sign of the phase) per pulse,
+    so that phases 0.0 and -0.0 stay apart: a list, empty until
+    _fill_run_products appends the run's product, read-only, to it;
+    schedule_factors reads its first item."""
+    return []
+
+
+def _fill_run_products(schedule, mode, pulses, missed) -> None:
+    """Append to each of the cache entries `missed`, (run, entry) pairs
+    of _run_product, the product of its run's pulse factors.  Each
+    pulse factor is the kernel, embedded in (g, levels, e) with 1 on the
+    other storage level, conjugated by its pulse frame; the frames of
+    every missed pulse come from one array operation."""
+    spec, d = schedule.spec, schedule.d
+    if pulses == "ideal":
+        kernels = _swap_kernels(d)
+    else:       # resonant pulses: carrier detuning 0
+        kernels = _propagator(spec, mode, schedule.pulse_fwhm, schedule.peak_rabi, 0.0)[1]
+    embedded = np.zeros((2, d + 2, d + 2), dtype=complex)
+    embedded[0, :-1, :-1], embedded[0, -1, -1] = kernels[0], 1.0
+    embedded[1, 1:, 1:], embedded[1, 0, 0] = kernels[1], 1.0
+    targets, centers, phases, _ = zip(*(p for run, _ in missed for p in run))
+    # each pulse's frame vector (1, e^{i phi} e^{-i w t}, 1)
+    q = np.ones((len(targets), d + 2), dtype=complex)
+    q[:, 1:-1] = (np.exp(1j * np.array(phases))[:, None]
+                  * flight_phases(spec, np.array(centers), mode))
+    # P[i] = Q^-1 K Q for pulse i, K in its target's orientation
+    P = embedded.take([t == "e" for t in targets], axis=0)
+    P *= q.conj()[:, :, None]
+    P *= q[:, None, :]
     pulse_factors = iter(P)
-    storage_factors = iter(np.array(runs, dtype=complex).reshape(-1, 2, 2))
-    return [(r, next(storage_factors if r == "storage" else pulse_factors)) for r in rows], t_end
+    for run, entry in missed:
+        R = next(pulse_factors)
+        for _ in run[1:]:
+            R = np.dot(next(pulse_factors), R)
+        # a run on one storage level leaves the other's row and column
+        # alone; a run that mixes them has two pulses or more, so R is
+        # its own array, never a view of P
+        if all(p[0] == run[0][0] for p in run):
+            R = (R[:-1, :-1] if run[0][0] == "g" else R[1:, 1:]).copy()
+        R.flags.writeable = False
+        entry.append(R)
 
 
 def _apply_factors(factors: list[tuple[str, np.ndarray]], x: np.ndarray) -> np.ndarray:
     """x, an operator or a state over (b_g, b_energy, b_e), with the
     factors applied in order, in place: one np.dot per factor on the
     view of its rows."""
-    views = {"g": x[:-1], "e": x[1:], "storage": x[::len(x) - 1]}
+    views = {"g": x[:-1], "e": x[1:], "all": x, "storage": x[::len(x) - 1]}
     for rows, K in factors:
         view = views[rows]
         view[...] = np.dot(K, view)
@@ -830,7 +906,8 @@ def schedule_operator(
     """The whole schedule as one operator, plus its final clock.
 
     M is the (d+2) x (d+2) product of schedule_factors over the slow
-    amplitudes (b_g, b_energy, b_e), with the clock starting at 0: its
+    amplitudes (b_g, b_energy, b_e), with the clock starting at 0, one
+    np.dot per run of manifold pulses and per run of storage pulses: its
     rows and columns run g, the d levels, e, so M[1:-1, 1:-1] is the
     level block.  t_end is the clock after the last primitive,
     schedule.duration().
@@ -885,11 +962,12 @@ def run_program(
       PulseSpec     free flight to max(t_start, clock), then the pulse
                     in the full model (integrate_pulse);
       GateSchedule  the schedule's factors (schedule_factors with the
-                    given `pulses`) applied to the state in turn, the
-                    schedule's clock starting at the current clock, so
-                    its slot labels are the slots as they stand then;
-                    the storage levels must be empty (population
-                    <= 1e-12).
+                    given `pulses`: one per run of manifold pulses and
+                    one per run of storage pulses) applied to the state
+                    in turn, the schedule's clock starting at the
+                    current clock, so its slot labels are the slots as
+                    they stand then; the storage levels must be empty
+                    (population <= 1e-12).
 
     With n_trace >= 2 every flight and pulse segment is sampled at
     n_trace points (evolution.trace_rows) and the segments are joined

@@ -1,8 +1,12 @@
 """Two-level decomposition, pulse schedules, and process fidelity."""
 
 import hashlib
+import importlib
+import inspect
+import itertools
 import json
 import math
+import pkgutil
 import re
 from dataclasses import replace
 
@@ -43,7 +47,7 @@ from rydpacket.gates import (
     schedule_to_json,
     zyz_angles,
 )
-import rydpacket.basis as basis_mod
+import rydpacket
 import rydpacket.gates as gates_mod
 import rydpacket.manifold as manifold_mod
 import rydpacket.pulse as pulse_mod
@@ -58,12 +62,13 @@ TWO_LEVEL_D4_FULL_FID = 0.9761740789170084     # compiled seed-7 block, d = 4
 # The three SHA-256 tables below were taken under OpenBLAS's SkylakeX
 # kernels (the pytest report header names the run's core; each digest
 # test's failure message repeats it).  Their inputs (a LAPACK QR), the
-# compile (zgemm row updates, a LAPACK det), the fold (a zgemm per pulse)
-# and, for exact/full, the pulse propagator's solve (batched step matrix
-# products) round as the BLAS kernel does, so the digests hold on that
-# kernel only: under OPENBLAS_CORETYPE=Haswell 18 tests of this file
-# fail, and 19 under Nehalem, every one a digest test.  The fidelities
-# and every other frozen value pass under all three.
+# compile (zgemm row updates, a LAPACK det), the fold (a zgemm per pulse
+# into its run's product, one per factor into M) and, for exact/full,
+# the pulse propagator's solve (batched step matrix products) round as
+# the BLAS kernel does, so the digests hold on that kernel only: under
+# OPENBLAS_CORETYPE=Haswell 18 tests of this file fail, and 19 under
+# Nehalem, every one a digest test.  The fidelities and every other
+# frozen value pass under all three.
 #
 # SHA-256 of schedule_to_json(compile_unitary(_haar(d, d))) at nbar = 180,
 # as json.dumps(doc, indent=2) wrote it (SkylakeX kernels)
@@ -90,14 +95,14 @@ FACTOR_SHA256 = {
 # (SkylakeX kernels), M's rows and columns taken to the (g, e, levels)
 # order they were frozen in
 SCHEDULE_OPERATOR_SHA256 = {
-    ("taylor1", "ideal", 2): "0600a495a5bbb344fd51812fa43d47be22353b37ff91e4ad5896e34d44e6bb3a",
-    ("taylor1", "ideal", 4): "20dd41b45d984cf92c04745778912aba0e2b8927e81d3ee796accb966f9ec950",
-    ("taylor1", "ideal", 8): "b5561ee407108fe2641a298fc5e89efe83a8a0647ef0003a3b4322ae84443265",
-    ("taylor1", "ideal", 16): "8e279b3257f3cf8bd78580ffdcf5acd930923bbc1402f26b2b66525ddb1bb32b",
-    ("exact", "full", 2): "122bd78670dfe2d948344d475f9d70e0051d97a94ad7897835105fc03aa4e0ca",
-    ("exact", "full", 4): "9681936c5b6567c5959d6b6217ab39df08b7ec2783dd98a9ab2df6944d712e05",
-    ("exact", "full", 8): "7ba09c79bd2b05f85f4e765c51ffb0e6aab87b1034fd241c0e19fe2e6c049285",
-    ("exact", "full", 16): "732cab8da729ed262c03fd4fd7080aec5046fcb479e869031fffbdbbff491d4f",
+    ("taylor1", "ideal", 2): "1dbe0d6d42c27003dfef21be39f8db575c33d8fea4c0c36f9c56a29f7e0aae14",
+    ("taylor1", "ideal", 4): "b8b2cce49898b5ac9dc119f0ed17f6b5ebce8cb9c18fd32da855f7e443d729d1",
+    ("taylor1", "ideal", 8): "8dd4a03f7fc2d9c547eddc4c2d67bcdd180115b6e2c66e92a93c8b9dc54decfb",
+    ("taylor1", "ideal", 16): "8e492988870631ed787181280f97aeaff47e55486cbf95730f8738a5278cac44",
+    ("exact", "full", 2): "377fc8c37a633eed5f3ec0e82d9431a6028c12d03617fee92613befb1454b734",
+    ("exact", "full", 4): "dc0e92992141cf2f30233e85fb5af9fb77ebfdd02e5bcde73cc3e5dfad0ec588",
+    ("exact", "full", 8): "06ed10b8e67cc0ab1b2021d5a32260695d95a54d482ac39ea9b952a28f2222c4",
+    ("exact", "full", 16): "0de7c14ecdbe1902dc395e927d49b58cde199b07174807d02658260e9cd2fea8",
 }
 
 
@@ -578,6 +583,20 @@ def test_schedule_to_json_matches_json_dumps(sched):
     assert schedule_to_json(sched) == _schedule_json_oracle(sched)
 
 
+def test_schedule_header_is_fixed_at_construction():
+    # assigning nbar or d once left spec on the old manifold; spec names
+    # the manifold that the cached run products are keyed on
+    sched = GateSchedule(nbar=180, d=4, pulse_fwhm=1.0e5, peak_rabi=2.0e-6,
+                         primitives=[Wait(1.0)])
+    for name, value in (("nbar", 190), ("d", 8), ("spec", ManifoldSpec(nbar=180, d=8))):
+        with pytest.raises(AttributeError, match=f"^GateSchedule.{name} is fixed at construction$"):
+            setattr(sched, name, value)
+    assert (sched.nbar, sched.d, sched.spec) == (180, 4, ManifoldSpec(nbar=180, d=4))
+    sched.primitives = [Wait(2.0)]
+    sched.pulse_fwhm, sched.peak_rabi, sched.recorded_global_phase = 2.0e5, 1.0e-6, 0.5
+    assert sched == GateSchedule(180, 4, 2.0e5, 1.0e-6, [Wait(2.0)], 0.5)
+
+
 def test_schedule_spec_is_built_once_at_construction():
     # spec was once a new, checked ManifoldSpec on every access
     sched = GateSchedule(nbar=180, d=4, pulse_fwhm=1.0e5, peak_rabi=2.0e-6,
@@ -939,22 +958,28 @@ def test_schedule_operator_matches_per_primitive_loop_property(case):
 
 @pytest.mark.parametrize("pulses", ["full", "ideal"])
 def test_schedule_factors_are_the_pulses_and_storage_runs_in_order(pulses):
-    # one factor per manifold pulse and per run of storage pulses (a wait
-    # leaves storage alone), each on its rows of (g, levels, e); their
-    # product, embedded factor by factor, is schedule_operator's M
+    # one factor per run of manifold pulses and per run of storage pulses
+    # (a wait leaves either run whole), each on its rows of
+    # (g, levels, e): 'g' or 'e' for manifold pulses all on that storage
+    # level, 'all' for a run that mixes them; their product, embedded
+    # factor by factor, is schedule_operator's M
     d = 4
     sched = compile_unitary(_haar(d, 23), _spec(d))
-    sched.primitives = [Wait(1.0), StoragePulse(theta=0.3)] + sched.primitives
+    sched.primitives = ([Wait(1.0), StoragePulse(theta=0.3), ManifoldPiPulse(1, "g"), Wait(2.0),
+                         ManifoldPiPulse(0, "g", 0.4), StoragePulse(phi=0.2)]
+                        + sched.primitives + [StoragePulse(theta=0.1), ManifoldPiPulse(2, "e")])
     factors, t_end = schedule_factors(sched, "exact", pulses)
     rows = []
-    for p in sched.primitives:
-        if isinstance(p, ManifoldPiPulse):
-            rows.append(p.target)
-        elif isinstance(p, StoragePulse) and rows[-1:] != ["storage"]:
-            rows.append("storage")
+    for is_pulse, run in itertools.groupby(
+            (p for p in sched.primitives if not isinstance(p, Wait)),
+            key=lambda p: isinstance(p, ManifoldPiPulse)):
+        targets = {p.target for p in run} if is_pulse else {"storage"}
+        rows.append(targets.pop() if len(targets) == 1 else "all")
     assert [r for r, _ in factors] == rows
+    assert {"g", "e", "all", "storage"} <= set(rows)
     assert t_end == sched.duration()
-    index = {"g": np.arange(d + 1), "e": np.arange(1, d + 2), "storage": np.array([0, d + 1])}
+    index = {"g": np.arange(d + 1), "e": np.arange(1, d + 2), "all": np.arange(d + 2),
+             "storage": np.array([0, d + 1])}
     M = np.eye(d + 2, dtype=complex)
     for r, K in factors:
         assert K.shape == (len(index[r]),) * 2
@@ -963,6 +988,53 @@ def test_schedule_factors_are_the_pulses_and_storage_runs_in_order(pulses):
         M = E @ M
     np.testing.assert_allclose(schedule_operator(sched, "exact", pulses)[0], M,
                                rtol=0, atol=1e-13)
+
+
+def _run_factors(sched, mode="exact", pulses="full"):
+    return [K for rows, K in schedule_factors(sched, mode, pulses)[0] if rows != "storage"]
+
+
+@pytest.mark.parametrize("kind", ["haar", "two_level"])
+def test_targets_of_one_timeline_share_every_run_factor(kind):
+    # a pulse acts on whichever slot is at the core and the angles sit in
+    # the storage pulses, so Haar targets of one (nbar, d), and two-level
+    # targets on one slot pair, compile to the same runs of manifold
+    # pulses: the second schedule reads every run factor from the cache
+    d = 8
+    spec = _spec(d)
+    if kind == "haar":
+        targets = [_haar(d, 40), _haar(d, 41)]
+    else:
+        targets = [TwoLevelOp(k=-1, k2=2, u2=_haar(2, seed)).embed(spec) for seed in (40, 41)]
+    first, second = (compile_unitary(U, spec) for U in targets)
+    assert first.primitives != second.primitives
+    gates_mod._run_product.cache_clear()
+    shared = _run_factors(first)
+    assert gates_mod._run_product.cache_info()[:2] == (0, len(shared))    # hits, misses
+    again = _run_factors(second)
+    assert gates_mod._run_product.cache_info()[:2] == (len(again), len(shared))
+    assert len(again) == len(shared) > 0
+    assert all(a is b for a, b in zip(again, shared))
+    for K in again:
+        _assert_read_only(K)
+
+
+def test_run_cache_keeps_phases_zero_and_minus_zero_apart():
+    # 0.0 == -0.0, so a key holding the phase alone would merge them
+    spec = _spec(4)
+    fwhm = DEFAULT_GATE_FWHM_FACTOR * time_scales(spec).t_kepler / 4
+    header = dict(nbar=180, d=4, pulse_fwhm=fwhm, peak_rabi=pi_pulse_peak_rabi(spec, fwhm))
+
+    def run_factor(phase):
+        sched = GateSchedule(**header, primitives=[Wait(1.0), ManifoldPiPulse(0, "g", phase)])
+        (K,) = _run_factors(sched, pulses="ideal")
+        return K
+
+    gates_mod._run_product.cache_clear()
+    plus, minus = run_factor(0.0), run_factor(-0.0)
+    assert plus is not minus
+    assert gates_mod._run_product.cache_info()[:2] == (0, 2)
+    assert run_factor(-0.0) is minus and run_factor(0.0) is plus
 
 
 def test_schedule_duration_is_the_operator_clock():
@@ -1189,19 +1261,32 @@ def test_run_program_rejects_bad_items():
 # cached per-manifold constants and the scalar 2 x 2 checks
 
 
-_CACHES = (basis_mod._dft_matrix, manifold_mod._time_scales, manifold_mod._detunings,
-           gates_mod._probe_matrices, gates_mod._swap_kernels, gates_mod._identity,
-           gates_mod._pi_peak_rabi, pulse_mod._propagator)
+def _package_caches():
+    """Every lru_cache-wrapped function of rydpacket's modules, each once."""
+    found = {}
+    for info in pkgutil.iter_modules(rydpacket.__path__):
+        module = importlib.import_module(f"rydpacket.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_parameters"):
+                found[id(obj)] = obj
+    return tuple(found.values())
+
+
+_CACHES = _package_caches()
 
 
 def _clear_caches():
-    """Empty every cache of per-manifold constants and pulse propagators."""
+    """Empty every cache of the package."""
     for cached in _CACHES:
         cached.cache_clear()
 
 
 def test_caches_share_one_bound():
-    assert {c.cache_parameters()["maxsize"] for c in _CACHES} == {manifold_mod.CACHE_SIZE}
+    # every cache keyed on arguments keeps CACHE_SIZE entries; one of no
+    # arguments (cli.build_parser) holds a single entry whatever its bound
+    keyed = [c for c in _CACHES if inspect.signature(c).parameters]
+    assert {gates_mod._run_product, gates_mod._identity, pulse_mod._propagator} <= set(keyed)
+    assert {c.cache_parameters()["maxsize"] for c in keyed} == {manifold_mod.CACHE_SIZE}
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])

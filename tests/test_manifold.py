@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rydpacket import ManifoldSpec, time_scales
+from rydpacket.constants import SHOWN_DIGITS, input_repr
 from rydpacket.manifold import (
     MAX_NBAR,
     SPECTRUM_MODES,
@@ -36,6 +37,19 @@ def test_spec_messages_show_numpy_integers_by_str():
         ManifoldSpec(nbar=np.int64(8), d=np.int32(8))
     with pytest.raises(ValueError, match=r"^slot 9 outside -3\.\.4$"):
         ManifoldSpec(nbar=NBAR, d=8).slot_index(np.int64(9))
+
+
+def test_spec_message_counts_the_digits_of_an_integer_past_str_limit():
+    # str() refuses an int of more than 4300 digits, which once became the
+    # message; the digit count needs no str()
+    with pytest.raises(ValueError, match=r"^nbar must be <= 1000000, got an integer of 5001 digits$"):
+        ManifoldSpec(nbar=10**5000, d=4)
+    limit = 10**SHOWN_DIGITS
+    for n in (limit, limit + 1, 2 * limit, 10**400 - 1, 10**400, 2**9000, 10**4299):
+        assert input_repr(n) == input_repr(-n) == f"an integer of {len(str(n))} digits"
+    for n, digits in ((10**5000 - 1, 5000), (10**5000, 5001), (10**6000 + 1, 6001)):
+        assert input_repr(n) == input_repr(-n) == f"an integer of {digits} digits"
+    assert input_repr(limit - 1) == str(limit - 1) and input_repr(True) == "True"
 
 
 def test_level_labels_even():
